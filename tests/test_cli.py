@@ -5,8 +5,9 @@ import pytest
 
 from mvhash.cli import main
 from mvhash.data import load_features, stack_labels
-from mvhash.retrieval import average_precision
-from mvhash.trainer import load_checkpoint
+from mvhash.net import binarize
+from mvhash.retrieval import average_precision, build_index, pack_code, search
+from mvhash.trainer import codes_for, load_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +140,18 @@ class TestSearch:
             assert qid.startswith("q")
             assert len(hits.split()) == 5
 
+    def test_same_lines_as_search_per_query(self, dataset_dir, run_dir, capsys):
+        checkpoint = run_dir / "checkpoint.bin"
+        assert main(["search", "--checkpoint", str(checkpoint),
+                     "--data", str(dataset_dir), "-k", "7"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        ckpt, split = load_checkpoint(checkpoint), load_features(dataset_dir)
+        index = build_index(binarize(codes_for(split.retrieval, ckpt.params)),
+                            [r.id for r in split.retrieval], stack_labels(split.retrieval))
+        q_codes = binarize(codes_for(split.query, ckpt.params))
+        assert lines == [f"{r.id}: {' '.join(search(index, pack_code(q_codes[i]), 7))}"
+                         for i, r in enumerate(split.query)]
+
 
 class TestGradcheck:
     def test_passes(self, capsys):
@@ -161,6 +174,14 @@ class TestErrors:
         assert main(["eval", "--checkpoint", str(tmp_path / "none.bin"),
                      "--data", str(tmp_path)]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_non_positive_cutoff_exit_1(self, dataset_dir, run_dir, capsys):
+        assert main(["eval", "--checkpoint", str(run_dir / "checkpoint.bin"),
+                     "--data", str(dataset_dir), "--cutoffs", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and "cutoffs" in err[0] and "0" in err[0]
 
     def test_help_documents_hyperparameters(self, capsys):
         with pytest.raises(SystemExit) as exc:

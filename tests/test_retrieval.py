@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvhash.linalg import ShapeError
-from mvhash.retrieval import (EvalReport, average_precision, build_index,
+from mvhash.retrieval import (_BLOCK, EvalReport, average_precision, build_index,
                               evaluate, hamming_distance, pack_code, search,
                               unpack_code, write_report_csv)
 
@@ -35,6 +35,21 @@ def naive_ap(rel, total, cutoff=None):
             hits += 1
             score += hits / p
     return score / total
+
+
+def naive_evaluate(corpus, ids, c_labels, queries, q_ids, q_labels, cutoffs):
+    """(per-query AP, mAP@K, Recall@K), each query dropped from its own ranking."""
+    aps, ap_at, rec_at = [], np.zeros(len(cutoffs)), np.zeros(len(cutoffs))
+    for q, qid, ql in zip(queries, q_ids, q_labels):
+        keep = [i for i in range(len(ids)) if ids[i] != qid]
+        order = sorted(keep, key=lambda i: (naive_hamming(corpus[i], q), i))
+        rel = [1 if int(c_labels[i] @ ql) > 0 else 0 for i in order]
+        total = sum(rel)
+        aps.append(naive_ap(rel, total))
+        for ci, c in enumerate(cutoffs):
+            ap_at[ci] += naive_ap(rel, total, cutoff=c)
+            rec_at[ci] += sum(rel[:c]) / total if total else 0.0
+    return aps, list(ap_at / len(aps)), list(rec_at / len(aps))
 
 
 class TestPacking:
@@ -209,3 +224,91 @@ def test_report_csv_round_trip(tmp_path):
     assert lines[0] == "cutoff,map_at_k,recall_at_k,map_full"
     assert lines[1].split(",") == ["1", "0.900000", "0.100000", "0.750000"]
     assert len(lines) == 3
+
+
+class TestValidation:
+    def index(self, n=6, k=8, categories=3):
+        rng = np.random.default_rng(8)
+        labels = np.eye(categories, dtype=np.int8)[rng.integers(categories, size=n)]
+        return build_index(random_codes(rng, n, k), [f"c{i}" for i in range(n)], labels)
+
+    @pytest.mark.parametrize("bad", [(-3,), (0,), (5, 0, 2)])
+    def test_non_positive_cutoff_named(self, bad):
+        index = self.index()
+        with pytest.raises(ValueError) as exc:
+            evaluate(np.ones((2, 8)), ["q0", "q1"], np.eye(3)[:2], index, cutoffs=bad)
+        message = str(exc.value)
+        assert "\n" not in message
+        assert str(min(bad)) in message
+
+    @pytest.mark.parametrize("ids,labels", [
+        (["q0"], np.eye(3)[:2]),  # short ids
+        (["q0", "q1", "q2"], np.eye(3)[:2]),  # long ids
+        (["q0", "q1"], np.eye(3)[:1]),  # short label rows
+        (["q0", "q1"], np.ones((2, 4))),  # label width differs from the index
+    ])
+    def test_query_alignment(self, ids, labels):
+        with pytest.raises(ShapeError):
+            evaluate(np.ones((2, 8)), ids, labels, self.index())
+
+    def test_query_code_width(self):
+        with pytest.raises(ShapeError):
+            evaluate(np.ones((2, 16)), ["q0", "q1"], np.eye(3)[:2], self.index())
+
+    def test_only_sign_codes(self):
+        with pytest.raises(ShapeError):
+            pack_code(np.array([1, 0, -1]))
+        with pytest.raises(ShapeError):
+            build_index(np.zeros((3, 8)), ["a", "b", "c"], np.ones((3, 1)))
+        codes = np.ones((2, 8))
+        codes[1, 3] = 0.5
+        with pytest.raises(ShapeError):
+            evaluate(codes, ["q0", "q1"], np.eye(3)[:2], self.index())
+
+    def test_duplicate_ids(self):
+        with pytest.raises(ValueError, match="unique"):
+            build_index(np.ones((2, 8)), ["a", "a"], np.ones((2, 1)))
+
+
+@st.composite
+def retrieval_cases(draw):
+    """A corpus, queries and cutoffs with many ties, own ids and wide codes."""
+    k = draw(st.sampled_from([1, 7, 8, 63, 64, 65, 130]))
+    n = draw(st.integers(1, 40))
+    nq = draw(st.integers(1, 2 * _BLOCK + 3))
+    categories = draw(st.integers(1, 10))
+    distinct = draw(st.integers(1, 6))  # codes drawn from a few rows tie often
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = random_codes(rng, distinct, k)
+    corpus = pool[rng.integers(distinct, size=n)]
+    queries = np.where(rng.random((nq, k)) < 0.2, -pool[rng.integers(distinct, size=nq)],
+                       pool[rng.integers(distinct, size=nq)]).astype(np.int8)
+    ids = [f"c{i}" for i in range(n)]
+    q_ids = [f"c{rng.integers(n)}" if rng.random() < 0.5 else f"q{i}" for i in range(nq)]
+    c_labels = (rng.random((n, categories)) < 0.3).astype(np.int8)
+    q_labels = (rng.random((nq, categories)) < 0.3).astype(np.int8)
+    cutoffs = draw(st.lists(st.integers(1, n + 5), max_size=4))
+    return corpus, ids, c_labels, queries, q_ids, q_labels, cutoffs
+
+
+class TestAgainstNaiveOracles:
+    @settings(max_examples=60, deadline=None)
+    @given(retrieval_cases())
+    def test_evaluate(self, case):
+        corpus, ids, c_labels, queries, q_ids, q_labels, cutoffs = case
+        report = evaluate(queries, q_ids, q_labels, build_index(corpus, ids, c_labels),
+                          cutoffs=cutoffs)
+        aps, ap_at, rec_at = naive_evaluate(corpus, ids, c_labels, queries, q_ids,
+                                            q_labels, sorted(cutoffs))
+        assert report.per_query_ap == pytest.approx(aps, abs=1e-15)
+        assert report.map == pytest.approx(np.mean(aps), abs=1e-15)
+        assert report.map_at_k == pytest.approx(ap_at, abs=1e-15)
+        assert report.recall_at_k == pytest.approx(rec_at, abs=1e-15)
+
+    @settings(max_examples=60, deadline=None)
+    @given(retrieval_cases(), st.integers(1, 45))
+    def test_search(self, case, k):
+        corpus, ids, c_labels, queries, *_ = case
+        index = build_index(corpus, ids, c_labels)
+        for q in queries:
+            assert search(index, pack_code(q), k) == naive_search(corpus, ids, q, k)
