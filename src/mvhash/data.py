@@ -142,24 +142,30 @@ def load_features(manifest_path) -> DatasetSplit:
     except json.JSONDecodeError as e:
         raise DatasetError(f"manifest {path} is not valid JSON: {e}") from e
 
-    view_dims = tuple(int(d) for d in manifest["view_dims"])
-    categories = int(manifest["categories"])
+    def require(table, key, where=""):
+        if not isinstance(table, dict) or key not in table:
+            raise DatasetError(f"manifest {path}: missing key '{where}{key}'")
+        return table[key]
+
+    view_dims = tuple(int(d) for d in require(manifest, "view_dims"))
+    categories = int(require(manifest, "categories"))
+    split_table = require(manifest, "splits")
     total_dim = sum(view_dims)
     base = path.parent
 
     splits = {}
     for name in ("train", "retrieval", "query"):
-        if name not in manifest["splits"]:
-            raise DatasetError(f"manifest missing split {name!r}")
-        entry = manifest["splits"][name]
-        feat_path = base / entry["features"]
-        rec_path = base / entry["records"]
+        entry = require(split_table, name, "splits.")
+        feat_path = base / require(entry, "features", f"splits.{name}.")
+        rec_path = base / require(entry, "records", f"splits.{name}.")
+        count = int(require(entry, "count", f"splits.{name}."))
+        if count < 0:
+            raise DatasetError(f"manifest {path}: splits.{name}.count is negative ({count})")
         for p in (feat_path, rec_path):
             if not p.exists():
                 raise DatasetError(f"split {name!r}: missing file {p}")
 
         raw = np.fromfile(feat_path, dtype="<f4")
-        count = int(entry["count"])
         if raw.size != count * total_dim:
             raise DatasetError(
                 f"split {name!r}: {feat_path.name} holds {raw.size} floats, "

@@ -40,28 +40,26 @@ def check_case(net_cfg: NetConfig, loss_cfg: LossConfig, batch_size: int, seed: 
     _, dH = total_loss(h, labels, loss_cfg)
     analytic = backward_batch(tape, params, dH)
 
+    theta, grad = params.buf, analytic.buf
     max_rel, failures = 0.0, 0
-    for (name, theta), (_, grad) in zip(params.tensors(), analytic.tensors()):
-        it = np.nditer(theta, flags=["multi_index"])
-        for _ in it:
-            ix = it.multi_index
-            orig = theta[ix]
-            theta[ix] = orig + STEP
-            up = _loss_of(params, views, labels, loss_cfg)
-            theta[ix] = orig - STEP
-            down = _loss_of(params, views, labels, loss_cfg)
-            theta[ix] = orig
-            fd = (up - down) / (2 * STEP)
-            a = grad[ix]
-            diff = abs(a - fd)
-            scale = max(abs(a), abs(fd))
-            if scale > ABS_FLOOR:
-                rel = diff / scale
-                max_rel = max(max_rel, rel)
-                if rel > REL_TOL:
-                    failures += 1
-            elif diff > ABS_FLOOR:
+    for i in range(theta.size):
+        orig = theta[i]
+        theta[i] = orig + STEP
+        up = _loss_of(params, views, labels, loss_cfg)
+        theta[i] = orig - STEP
+        down = _loss_of(params, views, labels, loss_cfg)
+        theta[i] = orig
+        fd = (up - down) / (2 * STEP)
+        a = grad[i]
+        diff = abs(a - fd)
+        scale = max(abs(a), abs(fd))
+        if scale > ABS_FLOOR:
+            rel = diff / scale
+            max_rel = max(max_rel, rel)
+            if rel > REL_TOL:
                 failures += 1
+        elif diff > ABS_FLOOR:
+            failures += 1
     return max_rel, failures
 
 

@@ -1,21 +1,8 @@
-"""Dense float64 matrix/vector arithmetic shared by every module.
-
-All arrays are plain numpy float64; matrices are row-major 2-D arrays and
-vectors are 1-D arrays. Operations validate shapes and reject non-finite
-inputs so NaN/Inf never propagates silently into training.
-"""
+"""Shape errors, a checked matrix product and the numerically stable sigmoid."""
 
 import numpy as np
 
-__all__ = [
-    "ShapeError",
-    "as_matrix",
-    "as_vector",
-    "matmul",
-    "elementwise",
-    "apply_unary",
-    "sigmoid",
-]
+__all__ = ["ShapeError", "as_matrix", "matmul", "sigmoid"]
 
 
 class ShapeError(ValueError):
@@ -31,15 +18,6 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def as_vector(a) -> np.ndarray:
-    v = np.ascontiguousarray(a, dtype=np.float64)
-    if v.ndim != 1:
-        raise ShapeError(f"expected a 1-D vector, got ndim={v.ndim}")
-    if not np.isfinite(v).all():
-        raise ValueError("vector contains non-finite values")
-    return v
-
-
 def matmul(a, b) -> np.ndarray:
     """Matrix product; (r_a, c_a) x (c_a, c_b) -> (r_a, c_b)."""
     a = as_matrix(a)
@@ -49,45 +27,11 @@ def matmul(a, b) -> np.ndarray:
     return a @ b
 
 
-def elementwise(a, b, op: str) -> np.ndarray:
-    """Componentwise add/sub/mul of two equal-length vectors."""
-    a = as_vector(a)
-    b = as_vector(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"elementwise: lengths differ ({a.shape[0]} vs {b.shape[0]})")
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown elementwise op {op!r}")
-
-
 def sigmoid(x) -> np.ndarray:
-    """Numerically stable logistic function, branch on sign to avoid exp overflow."""
+    """Numerically stable logistic function: exp only of -|x|, so it never overflows.
+
+    1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, both from e = e^-|x|.
+    """
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-_UNARY = {
-    "sigmoid": sigmoid,
-    "tanh": np.tanh,
-    "exp": np.exp,
-    "abs": np.abs,
-}
-
-
-def apply_unary(a, f: str) -> np.ndarray:
-    """Componentwise sigmoid/tanh/exp/abs on a vector."""
-    a = as_vector(a)
-    try:
-        fn = _UNARY[f]
-    except KeyError:
-        raise ValueError(f"unknown unary function {f!r}") from None
-    return fn(a)
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)

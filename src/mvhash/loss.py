@@ -80,12 +80,10 @@ def build_pair_block(H: np.ndarray, labels, cfg: LossConfig) -> PairBlock:
     if b < 2:
         raise ValueError("need a batch of at least 2 samples")
     m = cfg.block_size(b)
-    prec = np.arange(m)
-    rest = np.arange(b - m, b)
     labels = np.asarray(labels, dtype=np.float64)
-    phi = H[prec] @ H[rest].T
-    sim = pairwise_similarity(labels[prec], labels[rest], binarize=cfg.binarize_similarity)
-    return PairBlock(prec, rest, phi, sim)
+    phi = H[:m] @ H[b - m:].T
+    sim = pairwise_similarity(labels[:m], labels[b - m:], binarize=cfg.binarize_similarity)
+    return PairBlock(np.arange(m), np.arange(b - m, b), phi, sim)
 
 
 def _softplus(x: np.ndarray) -> np.ndarray:
@@ -101,6 +99,20 @@ def metric_loss(block: PairBlock, cfg: LossConfig):
     return loss, d_phi
 
 
+def _quantization(rows: np.ndarray, b: int):
+    """(sum of || |h| - 1 ||_2 over rows, divided by b; its gradient per row).
+
+    The subgradient at h_k = 0 and at zero residual norm is taken as 0.
+    """
+    resid = np.abs(rows) - 1.0
+    norms = np.sqrt((resid * resid).sum(axis=1))
+    nonzero = (norms > 0)[:, None]
+    g = np.divide(resid, norms[:, None], out=np.zeros_like(resid), where=nonzero)
+    np.multiply(g, np.sign(rows), out=g, where=nonzero)
+    g /= b
+    return float(norms.sum() / b), g
+
+
 def quantization_loss(H: np.ndarray, block_indices):
     """Mean (over the full batch size) of || |h_i| - 1 ||_2 for i in the block.
 
@@ -109,18 +121,10 @@ def quantization_loss(H: np.ndarray, block_indices):
     Returns (loss, dH).
     """
     H = np.asarray(H, dtype=np.float64)
-    b = H.shape[0]
     idx = np.asarray(block_indices, dtype=np.intp)
-    resid = np.abs(H[idx]) - 1.0
-    norms = np.linalg.norm(resid, axis=1)
-    loss = float(norms.sum() / b)
-
+    loss, g = _quantization(H[idx], H.shape[0])
     dH = np.zeros_like(H)
-    nonzero = norms > 0
-    if np.any(nonzero):
-        rows = idx[nonzero]
-        g = resid[nonzero] / norms[nonzero][:, None] * np.sign(H[rows]) / b
-        dH[rows] = g
+    dH[idx] = g
     return loss, dH
 
 
@@ -129,20 +133,22 @@ def total_loss(H: np.ndarray, labels, cfg: LossConfig, metric_weight: float = 1.
 
     metric_weight exists for the ablation that removes the metric term
     entirely (set it to 0); rows outside the two blocks get zero gradient.
+    The blocks H[:m] and H[b-m:] are disjoint because m = int(lam*b) <= b/2.
     """
     H = np.asarray(H, dtype=np.float64)
     block = build_pair_block(H, labels, cfg)
     lm, d_phi = metric_loss(block, cfg)
-    members = np.union1d(block.prec_indices, block.rest_indices)
-    lq, dH_q = quantization_loss(H, members)
+    b, m = H.shape[0], block.phi.shape[0]
+    prec, rest = H[:m], H[b - m:]
+    lq, g = _quantization(np.concatenate((prec, rest)), b)
+    dH = np.zeros_like(H)
+    dH[:m], dH[b - m:] = g[:m], g[m:]
 
     loss = metric_weight * lm + cfg.mu * lq
-    dH = cfg.mu * dH_q
+    dH *= cfg.mu
     if metric_weight != 0.0:
-        dH[block.prec_indices] += metric_weight * (d_phi @ H[block.rest_indices])
-        dH_rest = metric_weight * (d_phi.T @ H[block.prec_indices])
-        # prec and rest are disjoint for lam <= 0.5, but accumulate to be safe
-        np.add.at(dH, block.rest_indices, dH_rest)
+        dH[:m] += metric_weight * (d_phi @ rest)
+        dH[b - m:] += metric_weight * (d_phi.T @ prec)
     return loss, dH
 
 

@@ -7,7 +7,8 @@ are emitted for retrieval (`binarize`), since sgn has zero gradient almost
 everywhere and the quantization loss already pushes |h| toward 1.
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,7 +17,6 @@ from .linalg import ShapeError, sigmoid
 __all__ = [
     "NetConfig",
     "ModelParams",
-    "Gradients",
     "BatchTape",
     "init_params",
     "normalize_view",
@@ -51,82 +51,66 @@ class NetConfig:
     def fused_dim(self) -> int:
         return self.num_views * self.proj_dim
 
+    def layout(self) -> list:
+        """(name, shape) of every parameter tensor, in buffer and checkpoint order."""
+        n, k = self.fused_dim, self.code_bits
+        entries = []
+        for v, d in enumerate(self.view_dims):
+            entries += [(f"norm_w.{v}", (self.proj_dim, d)), (f"norm_b.{v}", (self.proj_dim,))]
+        return entries + [("fusion_w", (n, n)), ("fusion_b", (n,)),
+                          ("hash_w", (k, n)), ("hash_b", (k,))]
 
-@dataclass
+    @property
+    def num_params(self) -> int:
+        return sum(math.prod(shape) for _, shape in self.layout())
+
+
 class ModelParams:
-    """All trainable weights; replaced wholesale by the optimizer each step."""
+    """All trainable weights in one contiguous float64 buffer.
 
-    norm_w: list  # per view, (proj_dim, d_view)
-    norm_b: list  # per view, (proj_dim,)
-    fusion_w: np.ndarray  # (n, n), n = num_views * proj_dim
-    fusion_b: np.ndarray  # (n,)
-    hash_w: np.ndarray  # (K, n)
-    hash_b: np.ndarray  # (K,)
+    `buf` holds the tensors of `cfg.layout()` back to back; the named
+    attributes are reshaped views into it, so an in-place write through
+    either shows in both. Gradients use the same container.
+    """
+
+    def __init__(self, cfg: NetConfig, buf=None):
+        size = cfg.num_params
+        if buf is None:
+            buf = np.zeros(size)
+        elif buf.dtype != np.float64 or buf.shape != (size,) or not buf.flags.c_contiguous:
+            raise ShapeError(f"parameter buffer: expected {size} contiguous float64 values, "
+                             f"got {buf.dtype} {buf.shape}")
+        self.cfg, self.buf = cfg, buf
+        self._named, off = [], 0
+        for name, shape in cfg.layout():
+            size = math.prod(shape)
+            self._named.append((name, buf[off:off + size].reshape(shape)))
+            off += size
+        views = dict(self._named)
+        self.norm_w = [views[f"norm_w.{v}"] for v in range(cfg.num_views)]  # (proj_dim, d_view)
+        self.norm_b = [views[f"norm_b.{v}"] for v in range(cfg.num_views)]  # (proj_dim,)
+        self.fusion_w = views["fusion_w"]  # (n, n), n = num_views * proj_dim
+        self.fusion_b = views["fusion_b"]  # (n,)
+        self.hash_w = views["hash_w"]  # (K, n)
+        self.hash_b = views["hash_b"]  # (K,)
 
     def tensors(self):
-        """Named tensors in a fixed order (checkpointing, optimizer, gradcheck)."""
-        for v, (w, b) in enumerate(zip(self.norm_w, self.norm_b)):
-            yield f"norm_w.{v}", w
-            yield f"norm_b.{v}", b
-        yield "fusion_w", self.fusion_w
-        yield "fusion_b", self.fusion_b
-        yield "hash_w", self.hash_w
-        yield "hash_b", self.hash_b
-
-    def copy(self) -> "ModelParams":
-        return ModelParams(
-            norm_w=[w.copy() for w in self.norm_w],
-            norm_b=[b.copy() for b in self.norm_b],
-            fusion_w=self.fusion_w.copy(),
-            fusion_b=self.fusion_b.copy(),
-            hash_w=self.hash_w.copy(),
-            hash_b=self.hash_b.copy(),
-        )
-
-    def map(self, fn, *others) -> "ModelParams":
-        """Apply fn over corresponding tensors of self and *others."""
-        def z(get):
-            return fn(*(get(p) for p in (self, *others)))
-
-        return ModelParams(
-            norm_w=[fn(*(p.norm_w[v] for p in (self, *others)))
-                    for v in range(len(self.norm_w))],
-            norm_b=[fn(*(p.norm_b[v] for p in (self, *others)))
-                    for v in range(len(self.norm_b))],
-            fusion_w=z(lambda p: p.fusion_w),
-            fusion_b=z(lambda p: p.fusion_b),
-            hash_w=z(lambda p: p.hash_w),
-            hash_b=z(lambda p: p.hash_b),
-        )
-
-
-# Gradients mirror ModelParams shape-for-shape; the same container works.
-Gradients = ModelParams
-
-
-def zeros_like_params(params: ModelParams) -> Gradients:
-    return params.map(np.zeros_like)
+        """(name, view) pairs in buffer order."""
+        return iter(self._named)
 
 
 def init_params(cfg: NetConfig, seed: int) -> ModelParams:
-    """Uniform init in [-1/sqrt(fan_in), +1/sqrt(fan_in)] per layer, seeded."""
+    """Uniform init in [-1/sqrt(fan_in), +1/sqrt(fan_in)] per layer, seeded.
+
+    Draws follow buffer order; a bias shares the bound of the weight before it.
+    """
     rng = np.random.default_rng(seed)
-    n = cfg.fused_dim
-
-    def layer(out_dim, in_dim):
-        bound = 1.0 / np.sqrt(in_dim)
-        w = rng.uniform(-bound, bound, size=(out_dim, in_dim))
-        b = rng.uniform(-bound, bound, size=out_dim)
-        return w, b
-
-    norm_w, norm_b = [], []
-    for d in cfg.view_dims:
-        w, b = layer(cfg.proj_dim, d)
-        norm_w.append(w)
-        norm_b.append(b)
-    fusion_w, fusion_b = layer(n, n)
-    hash_w, hash_b = layer(cfg.code_bits, n)
-    return ModelParams(norm_w, norm_b, fusion_w, fusion_b, hash_w, hash_b)
+    params = ModelParams(cfg)
+    for _, t in params.tensors():
+        if t.ndim == 2:
+            bound = 1.0 / np.sqrt(t.shape[1])
+        t[...] = rng.uniform(-bound, bound, size=t.shape)
+    return params
 
 
 def normalize_view(x: np.ndarray, params: ModelParams, view_index: int) -> np.ndarray:
@@ -161,7 +145,7 @@ class BatchTape:
 
     raw_views: list  # per view, (b, d_view)
     normalized: list  # per view, (b, proj_dim)
-    mask: np.ndarray  # inverted-dropout mask, entries in {0, 1/(1-p)}
+    mask: np.ndarray  # inverted-dropout mask, entries in {0, 1/(1-p)}; None without dropout
     dropped: np.ndarray  # concat after dropout, (b, n)
     gate: np.ndarray  # (b, n); all-ones when gating disabled
     fused: np.ndarray  # (b, n)
@@ -200,13 +184,12 @@ def forward_batch(
     normalized = [normalize_view(raw[v], params, v) for v in range(len(raw))]
     concat = np.concatenate(normalized, axis=1)
 
+    mask, dropped = None, concat
     if train_mode and dropout_p > 0.0:
         rng = np.random.default_rng(rng_seed)
         keep = rng.random(concat.shape) >= dropout_p
         mask = keep / (1.0 - dropout_p)
-    else:
-        mask = np.ones_like(concat)
-    dropped = concat * mask
+        dropped = concat * mask
 
     if use_gating:
         fused, gate = context_gating(dropped, params)
@@ -219,16 +202,22 @@ def forward_batch(
     return codes, tape
 
 
-def backward_batch(tape: BatchTape, params: ModelParams, dH: np.ndarray) -> Gradients:
-    """Analytic gradients of a scalar loss given dL/dH."""
+def backward_batch(tape: BatchTape, params: ModelParams, dH: np.ndarray,
+                   out: ModelParams = None) -> ModelParams:
+    """Analytic gradients of a scalar loss given dL/dH.
+
+    Every gradient tensor is written into `out` (allocated when None),
+    which is returned; a training loop passes the same buffer each step.
+    """
     dH = np.asarray(dH, dtype=np.float64)
     if dH.shape != tape.codes.shape:
         raise ShapeError(f"dH shape {dH.shape} != codes shape {tape.codes.shape}")
+    grads = ModelParams(params.cfg) if out is None else out
 
     # hash head: H = tanh(fused @ hash_w.T + hash_b)
     dA = dH * (1.0 - tape.codes ** 2)
-    d_hash_w = dA.T @ tape.fused
-    d_hash_b = dA.sum(axis=0)
+    np.matmul(dA.T, tape.fused, out=grads.hash_w)
+    dA.sum(axis=0, out=grads.hash_b)
     d_fused = dA @ params.hash_w
 
     # gating: fused = gate * dropped, gate = sigmoid(dropped @ fusion_w.T + fusion_b).
@@ -237,25 +226,22 @@ def backward_batch(tape: BatchTape, params: ModelParams, dH: np.ndarray) -> Grad
         d_gate = d_fused * tape.dropped
         d_dropped = d_fused * tape.gate
         dZ = d_gate * tape.gate * (1.0 - tape.gate)
-        d_fusion_w = dZ.T @ tape.dropped
-        d_fusion_b = dZ.sum(axis=0)
-        d_dropped = d_dropped + dZ @ params.fusion_w
+        np.matmul(dZ.T, tape.dropped, out=grads.fusion_w)
+        dZ.sum(axis=0, out=grads.fusion_b)
+        d_dropped += dZ @ params.fusion_w
     else:
         d_dropped = d_fused
-        d_fusion_w = np.zeros_like(params.fusion_w)
-        d_fusion_b = np.zeros_like(params.fusion_b)
+        grads.fusion_w[...] = 0.0
+        grads.fusion_b[...] = 0.0
 
-    d_concat = d_dropped * tape.mask
+    d_concat = d_dropped if tape.mask is None else d_dropped * tape.mask
 
     proj = tape.normalized[0].shape[1]
-    d_norm_w, d_norm_b = [], []
     for v, (x_raw, t) in enumerate(zip(tape.raw_views, tape.normalized)):
-        dT = d_concat[:, v * proj:(v + 1) * proj]
-        dP = dT * (1.0 - t ** 2)
-        d_norm_w.append(dP.T @ x_raw)
-        d_norm_b.append(dP.sum(axis=0))
-
-    return Gradients(d_norm_w, d_norm_b, d_fusion_w, d_fusion_b, d_hash_w, d_hash_b)
+        dP = d_concat[:, v * proj:(v + 1) * proj] * (1.0 - t ** 2)
+        np.matmul(dP.T, x_raw, out=grads.norm_w[v])
+        dP.sum(axis=0, out=grads.norm_b[v])
+    return grads
 
 
 def binarize(h: np.ndarray) -> np.ndarray:

@@ -1,10 +1,10 @@
-"""AdamW with decoupled weight decay operating on ModelParams containers."""
+"""AdamW with decoupled weight decay, in place on flat parameter buffers."""
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .net import Gradients, ModelParams, zeros_like_params
+from .net import ModelParams
 
 __all__ = ["OptimState", "init_optim", "adamw_step", "cosine_lr"]
 
@@ -12,8 +12,8 @@ __all__ = ["OptimState", "init_optim", "adamw_step", "cosine_lr"]
 @dataclass
 class OptimState:
     step: int
-    m: Gradients  # first-moment estimates
-    v: Gradients  # second-moment estimates
+    m: np.ndarray  # first-moment estimates, flat in parameter-buffer order
+    v: np.ndarray  # second-moment estimates, flat in parameter-buffer order
     lr: float = 1e-5
     beta1: float = 0.9
     beta2: float = 0.999
@@ -31,8 +31,8 @@ def init_optim(
 ) -> OptimState:
     return OptimState(
         step=0,
-        m=zeros_like_params(params),
-        v=zeros_like_params(params),
+        m=np.zeros_like(params.buf),
+        v=np.zeros_like(params.buf),
         lr=lr,
         beta1=beta1,
         beta2=beta2,
@@ -49,28 +49,35 @@ def cosine_lr(base_lr: float, step: int, total_steps: int) -> float:
     return base_lr * 0.5 * (1.0 + np.cos(np.pi * t))
 
 
-def adamw_step(params: ModelParams, grads: Gradients, state: OptimState, lr=None):
-    """One decoupled-weight-decay Adam update; returns (new_params, new_state).
+def adamw_step(params: ModelParams, grads: ModelParams, state: OptimState, lr=None):
+    """One decoupled-weight-decay Adam update, in place; returns (params, state).
 
     The decay term lr * wd * theta is applied outside the adaptive
     m_hat / (sqrt(v_hat) + eps) rescaling. lr overrides state.lr for this
-    step (schedules); the stored lr is unchanged.
+    step (schedules); the stored lr is unchanged. Each expression keeps the
+    operand order of theta - lr * (m_hat / (sqrt(v_hat) + eps) + wd * theta),
+    so the result is bit-identical to evaluating it out of place.
     """
     t = state.step + 1
     step_lr = state.lr if lr is None else lr
     b1, b2 = state.beta1, state.beta2
+    theta, g, m, v = params.buf, grads.buf, state.m, state.v
+    tmp, upd = np.empty_like(theta), np.empty_like(theta)
 
-    new_m = state.m.map(lambda m, g: b1 * m + (1.0 - b1) * g, grads)
-    new_v = state.v.map(lambda v, g: b2 * v + (1.0 - b2) * g * g, grads)
-    c1 = 1.0 - b1 ** t
-    c2 = 1.0 - b2 ** t
+    m *= b1  # m = b1 * m + (1 - b1) * g
+    m += np.multiply(g, 1.0 - b1, out=tmp)
+    v *= b2  # v = b2 * v + (1 - b2) * g * g
+    np.multiply(g, 1.0 - b2, out=tmp)
+    tmp *= g
+    v += tmp
 
-    def update(theta, m, v):
-        m_hat = m / c1
-        v_hat = v / c2
-        return theta - step_lr * (m_hat / (np.sqrt(v_hat) + state.eps)
-                                  + state.weight_decay * theta)
-
-    new_params = params.map(update, new_m, new_v)
-    new_state = replace(state, step=t, m=new_m, v=new_v)
-    return new_params, new_state
+    np.divide(v, 1.0 - b2 ** t, out=tmp)  # sqrt(v_hat) + eps
+    np.sqrt(tmp, out=tmp)
+    tmp += state.eps
+    np.divide(m, 1.0 - b1 ** t, out=upd)  # m_hat / (sqrt(v_hat) + eps) + wd * theta
+    upd /= tmp
+    upd += np.multiply(theta, state.weight_decay, out=tmp)
+    upd *= step_lr
+    theta -= upd
+    state.step = t
+    return params, state

@@ -62,8 +62,17 @@ class TrainConfig:
             raise ValueError(f"unknown ablation {self.ablation!r}; pick one of {ABLATIONS}")
         if self.lr_schedule not in ("constant", "cosine"):
             raise ValueError(f"unknown lr schedule {self.lr_schedule!r}")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
+        for name, ok, rule in (
+            ("epochs", self.epochs >= 0, ">= 0"),
+            ("bits", self.bits >= 1, ">= 1"),
+            ("proj_dim", self.proj_dim >= 1, ">= 1"),
+            ("batch_size", self.batch_size >= 2, ">= 2"),
+            ("dropout_p", 0.0 <= self.dropout_p < 1.0, "in [0, 1)"),
+            ("lr", self.lr > 0.0, "> 0"),
+            ("eval_every", self.eval_every >= 0, ">= 0"),
+        ):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
         LossConfig(lam=self.lam, mu=self.mu, w_d=self.w_d)  # validates ranges
 
     def pipeline(self, num_views: int):
@@ -123,6 +132,10 @@ def _test_map(dataset: DatasetSplit, params, view_mask, use_gating) -> float:
     return report.map
 
 
+def _snapshot(params: ModelParams) -> ModelParams:
+    return ModelParams(params.cfg, params.buf.copy())
+
+
 def train(dataset: DatasetSplit, cfg: TrainConfig) -> TrainResult:
     """Run the full training loop; deterministic under (cfg, dataset)."""
     net_cfg = NetConfig(dataset.view_dims, cfg.proj_dim, cfg.bits)
@@ -134,8 +147,9 @@ def train(dataset: DatasetSplit, cfg: TrainConfig) -> TrainResult:
     steps_per_epoch = max(1, len(dataset.train) // cfg.batch_size)
     total_steps = cfg.epochs * steps_per_epoch
 
+    grads = ModelParams(net_cfg)  # overwritten by every backward pass
     records = []
-    best_params, best_epoch, best_map = params.copy(), 0, -1.0
+    best_params, best_epoch, best_map = _snapshot(params), 0, -1.0
     for epoch in range(1, cfg.epochs + 1):
         t0 = time.perf_counter()
         losses = []
@@ -153,22 +167,22 @@ def train(dataset: DatasetSplit, cfg: TrainConfig) -> TrainResult:
                 raise RuntimeError(
                     f"non-finite loss {loss} at epoch {epoch}, batch {bi}"
                 )
-            grads = netmod.backward_batch(tape, params, dH)
+            netmod.backward_batch(tape, params, dH, out=grads)
             lr = (cosine_lr(cfg.lr, state.step, total_steps)
                   if cfg.lr_schedule == "cosine" else None)
-            params, state = adamw_step(params, grads, state, lr=lr)
+            adamw_step(params, grads, state, lr=lr)
             losses.append(loss)
 
         test_map = None
         if cfg.eval_every > 0 and (epoch % cfg.eval_every == 0 or epoch == cfg.epochs):
             test_map = _test_map(dataset, params, view_mask, use_gating)
             if test_map > best_map:
-                best_params, best_epoch, best_map = params.copy(), epoch, test_map
+                best_params, best_epoch, best_map = _snapshot(params), epoch, test_map
         wall_ms = (time.perf_counter() - t0) * 1e3
         records.append(EpochRecord(epoch, float(np.mean(losses)), test_map, wall_ms))
 
     if best_map < 0:
-        best_params, best_epoch, best_map = params.copy(), cfg.epochs, float("nan")
+        best_params, best_epoch, best_map = _snapshot(params), cfg.epochs, float("nan")
     return TrainResult(params, state, records, net_cfg, best_params, best_epoch, best_map)
 
 
@@ -188,9 +202,11 @@ def export_curves(records, path) -> None:
             ])
 
 
-# --- checkpoint container: JSON header + raw float64 tensors ---------------
+# --- checkpoint container: JSON header + raw float64 buffers -----------------
 
 _MAGIC = b"MVHCKPT1"
+_PREFIX = len(_MAGIC) + 8  # magic, then the header length as little-endian uint64
+_OPTIM_FIELDS = ("step", "lr", "beta1", "beta2", "eps", "weight_decay")
 
 
 @dataclass
@@ -201,72 +217,67 @@ class Checkpoint:
     optim: OptimState = None
 
 
-def _tensor_entries(params: ModelParams):
-    return [{"name": n, "shape": list(t.shape)} for n, t in params.tensors()]
-
-
 def save_checkpoint(path, params: ModelParams, net_cfg: NetConfig,
                     config: dict = None, optim: OptimState = None) -> None:
-    """Bit-exact, self-describing container; byte-identical for equal inputs."""
+    """Bit-exact, self-describing container; byte-identical for equal inputs.
+
+    The body is the parameter buffer, then the optimizer's m and v buffers
+    when present, each little-endian float64 in `net_cfg.layout()` order.
+    """
+    if params.cfg != net_cfg:
+        raise ValueError(f"parameters are laid out for {params.cfg}, not {net_cfg}")
     header = {
         "net": {"view_dims": list(net_cfg.view_dims),
                 "proj_dim": net_cfg.proj_dim,
                 "code_bits": net_cfg.code_bits},
         "config": config or {},
-        "tensors": _tensor_entries(params),
+        "tensors": [{"name": n, "shape": list(s)} for n, s in net_cfg.layout()],
         "optim": None,
     }
-    blobs = [np.ascontiguousarray(t, dtype="<f8").tobytes() for _, t in params.tensors()]
+    buffers = [params.buf]
     if optim is not None:
-        header["optim"] = {"step": optim.step, "lr": optim.lr,
-                           "beta1": optim.beta1, "beta2": optim.beta2,
-                           "eps": optim.eps, "weight_decay": optim.weight_decay}
-        for moments in (optim.m, optim.v):
-            blobs.extend(np.ascontiguousarray(t, dtype="<f8").tobytes()
-                         for _, t in moments.tensors())
+        header["optim"] = {k: getattr(optim, k) for k in _OPTIM_FIELDS}
+        buffers += [optim.m, optim.v]
     head = json.dumps(header, sort_keys=True).encode()
     with open(Path(path), "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<Q", len(head)))
         fh.write(head)
-        for blob in blobs:
-            fh.write(blob)
-
-
-def _read_params(fh, net_cfg: NetConfig, entries) -> ModelParams:
-    tensors = {}
-    for e in entries:
-        shape = tuple(e["shape"])
-        n = int(np.prod(shape)) if shape else 1
-        buf = fh.read(n * 8)
-        tensors[e["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
-    nv = net_cfg.num_views
-    return ModelParams(
-        norm_w=[tensors[f"norm_w.{v}"] for v in range(nv)],
-        norm_b=[tensors[f"norm_b.{v}"] for v in range(nv)],
-        fusion_w=tensors["fusion_w"],
-        fusion_b=tensors["fusion_b"],
-        hash_w=tensors["hash_w"],
-        hash_b=tensors["hash_b"],
-    )
+        for buf in buffers:
+            fh.write(np.ascontiguousarray(buf, dtype="<f8").tobytes())
 
 
 def load_checkpoint(path) -> Checkpoint:
-    with open(Path(path), "rb") as fh:
-        if fh.read(len(_MAGIC)) != _MAGIC:
-            raise ValueError(f"{path}: not a checkpoint file")
-        (head_len,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(head_len))
-        net_cfg = NetConfig(tuple(header["net"]["view_dims"]),
-                            header["net"]["proj_dim"], header["net"]["code_bits"])
-        params = _read_params(fh, net_cfg, header["tensors"])
-        optim = None
-        if header["optim"] is not None:
-            m = _read_params(fh, net_cfg, header["tensors"])
-            v = _read_params(fh, net_cfg, header["tensors"])
-            o = header["optim"]
-            optim = OptimState(step=o["step"], m=m, v=v, lr=o["lr"],
-                               beta1=o["beta1"], beta2=o["beta2"], eps=o["eps"],
-                               weight_decay=o["weight_decay"])
-    return Checkpoint(params=params, net_cfg=net_cfg, config=header["config"],
-                      optim=optim)
+    """Read a checkpoint; any malformed, truncated or padded file is a ValueError."""
+    data = Path(path).read_bytes()
+    if data[:len(_MAGIC)] != _MAGIC:
+        raise ValueError(f"{path}: not a checkpoint file")
+    if len(data) < _PREFIX:
+        raise ValueError(f"{path}: truncated checkpoint ({len(data)} bytes)")
+    (head_len,) = struct.unpack("<Q", data[len(_MAGIC):_PREFIX])
+    body_at = _PREFIX + head_len
+    try:
+        header = json.loads(data[_PREFIX:body_at])
+        net = header["net"]
+        net_cfg = NetConfig(tuple(net["view_dims"]), net["proj_dim"], net["code_bits"])
+        entries = [(e["name"], tuple(e["shape"])) for e in header["tensors"]]
+        o = header["optim"]
+        hyper = None if o is None else {k: o[k] for k in _OPTIM_FIELDS}
+        config = header["config"]
+    except (ValueError, KeyError, TypeError) as e:
+        raise ValueError(f"{path}: malformed checkpoint header "
+                         f"({type(e).__name__}: {e})") from None
+    if entries != net_cfg.layout():
+        raise ValueError(f"{path}: header tensors do not match the layout of {net_cfg}")
+    n = net_cfg.num_params
+    buffers = 1 if hyper is None else 3
+    expected = body_at + buffers * n * 8
+    if len(data) != expected:
+        raise ValueError(f"{path}: {len(data)} bytes, expected {expected} for "
+                         f"{buffers} buffer(s) of {n} float64 values")
+    flat = np.frombuffer(data, dtype="<f8", offset=body_at).astype(np.float64)
+    params = ModelParams(net_cfg, flat[:n])
+    optim = None
+    if hyper is not None:
+        optim = OptimState(m=flat[n:2 * n], v=flat[2 * n:], **hyper)
+    return Checkpoint(params=params, net_cfg=net_cfg, config=config, optim=optim)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,38 @@ class TestValidation:
         raw.tofile(feat)
         with pytest.raises(DatasetError, match="q0"):
             load_features(tmp_path)
+
+
+def edit_manifest(tmp_path, edit):
+    manifest = write_features(tiny_split(), tmp_path)
+    table = json.loads(manifest.read_text())
+    edit(table)
+    manifest.write_text(json.dumps(table))
+    return manifest
+
+
+class TestManifestErrors:
+    @pytest.mark.parametrize("key", ["view_dims", "categories", "splits"])
+    def test_missing_top_level_key(self, tmp_path, key):
+        manifest = edit_manifest(tmp_path, lambda t: t.pop(key))
+        with pytest.raises(DatasetError) as info:
+            load_features(manifest)
+        assert f"'{key}'" in str(info.value) and str(manifest) in str(info.value)
+
+    @pytest.mark.parametrize("key", ["count", "features", "records"])
+    def test_missing_split_key(self, tmp_path, key):
+        manifest = edit_manifest(tmp_path, lambda t: t["splits"]["retrieval"].pop(key))
+        with pytest.raises(DatasetError) as info:
+            load_features(manifest)
+        assert f"'splits.retrieval.{key}'" in str(info.value)
+        assert str(manifest) in str(info.value)
+
+    def test_negative_count(self, tmp_path):
+        def edit(table):
+            table["splits"]["query"]["count"] = -1
+        manifest = edit_manifest(tmp_path, edit)
+        with pytest.raises(DatasetError, match="splits.query.count is negative"):
+            load_features(manifest)
 
 
 class TestSynthetic:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mvhash.linalg import ShapeError, apply_unary, elementwise, matmul, sigmoid
+from mvhash.linalg import ShapeError, matmul, sigmoid
 
 
 def test_matmul_identity():
@@ -28,40 +28,18 @@ def test_matmul_shape_error():
         matmul(np.ones((2, 3)), np.ones((2, 3)))
 
 
-@pytest.mark.parametrize("op,a,b,expected", [
-    ("mul", [1, 2, 3], [1, 1, 1], [1, 2, 3]),
-    ("add", [1, 2], [-1, -2], [0, 0]),
-    ("mul", [0.5, 0.5], [4, 8], [2, 4]),
-    ("sub", [3, 1], [1, 1], [2, 0]),
-])
-def test_elementwise(op, a, b, expected):
-    assert np.array_equal(elementwise(a, b, op), np.asarray(expected, dtype=float))
-
-
-def test_elementwise_length_mismatch():
-    with pytest.raises(ShapeError):
-        elementwise([1.0, 2.0], [1.0], "add")
-
-
 def test_unary_examples():
-    assert apply_unary([0.0], "sigmoid")[0] == 0.5
-    assert apply_unary([0.0], "tanh")[0] == 0.0
-    assert np.array_equal(apply_unary([-2.0, 3.0], "abs"), [2.0, 3.0])
+    assert sigmoid([0.0])[0] == 0.5
 
 
 def test_sigmoid_extreme_negative_is_finite():
-    val = apply_unary([-1000.0], "sigmoid")[0]
+    val = sigmoid([-1000.0])[0]
     assert np.isfinite(val)
     assert 0.0 <= val <= 1e-300
 
 
 def test_sigmoid_extreme_positive_saturates():
-    assert apply_unary([1000.0], "sigmoid")[0] == 1.0
-
-
-def test_unknown_op_rejected():
-    with pytest.raises(ValueError):
-        apply_unary([1.0], "relu")
+    assert sigmoid([1000.0])[0] == 1.0
 
 
 def test_matmul_associativity():
@@ -84,5 +62,4 @@ def test_sigmoid_symmetry():
 @given(arrays(np.float64, st.integers(1, 16),
               elements=st.floats(-700, 700, allow_nan=False)))
 def test_no_nan_on_finite_input(v):
-    for f in ("sigmoid", "tanh", "exp", "abs"):
-        assert np.isfinite(apply_unary(v, f)).all()
+    assert np.isfinite(sigmoid(v)).all()

@@ -3,7 +3,7 @@ import pytest
 
 from mvhash.gradcheck import run_gradcheck
 from mvhash.linalg import ShapeError
-from mvhash.net import (NetConfig, backward_batch, binarize, context_gating,
+from mvhash.net import (ModelParams, NetConfig, backward_batch, binarize, context_gating,
                         forward_batch, hash_head, init_params, normalize_view)
 
 
@@ -12,8 +12,7 @@ def make_params(view_dims=(3, 4), proj=2, bits=3, seed=0):
 
 
 def zero_params(cfg):
-    p = init_params(cfg, 0)
-    return p.map(np.zeros_like)
+    return ModelParams(cfg)
 
 
 class TestNormalizeView:

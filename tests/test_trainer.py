@@ -1,10 +1,16 @@
 import csv
+import json
+import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvhash.data import SynthConfig, generate_synthetic
-from mvhash.net import init_params
+from mvhash.net import NetConfig, init_params
 from mvhash.optim import init_optim
 from mvhash.trainer import (Checkpoint, EpochRecord, TrainConfig, export_curves,
                             load_checkpoint, save_checkpoint, train)
@@ -66,6 +72,16 @@ class TestTrain:
     def test_bad_ablation_rejected(self):
         with pytest.raises(ValueError):
             TrainConfig(ablation="nonsense")
+
+    @pytest.mark.parametrize("field,value", [
+        ("bits", 0), ("proj_dim", 0), ("batch_size", 1), ("dropout_p", 1.0),
+        ("dropout_p", -0.1), ("lr", 0.0), ("lr", -1e-3), ("eval_every", -1),
+    ])
+    def test_bad_value_rejected_at_construction(self, field, value):
+        with pytest.raises(ValueError) as info:
+            TrainConfig(**{field: value})
+        assert str(info.value).startswith(f"{field} must be")
+        assert "\n" not in str(info.value)
 
 
 class TestPipelineMapping:
@@ -130,8 +146,8 @@ class TestCheckpoint:
         assert ckpt.net_cfg == result.net_cfg
         assert ckpt.config == {"seed": 2}
         assert ckpt.optim.step == result.optim_state.step
-        assert params_equal(ckpt.optim.m, result.optim_state.m)
-        assert params_equal(ckpt.optim.v, result.optim_state.v)
+        assert np.array_equal(ckpt.optim.m, result.optim_state.m)
+        assert np.array_equal(ckpt.optim.v, result.optim_state.v)
 
         resaved = tmp_path / "ckpt2.bin"
         save_checkpoint(resaved, ckpt.params, ckpt.net_cfg,
@@ -151,3 +167,62 @@ class TestCheckpoint:
         path.write_bytes(b"not a checkpoint at all")
         with pytest.raises(ValueError):
             load_checkpoint(path)
+
+
+def assert_one_line_error(path):
+    with pytest.raises(ValueError) as info:
+        load_checkpoint(path)
+    message = str(info.value)
+    assert str(path) in message and "\n" not in message
+    return message
+
+
+def rewrite_header(path, edit):
+    """Apply edit() to the JSON header of the checkpoint at path, keeping the body."""
+    data = path.read_bytes()
+    (head_len,) = struct.unpack("<Q", data[8:16])
+    header = json.loads(data[16:16 + head_len])
+    edit(header)
+    head = json.dumps(header, sort_keys=True).encode()
+    path.write_bytes(data[:8] + struct.pack("<Q", len(head)) + head + data[16 + head_len:])
+
+
+class TestCheckpointValidation:
+    @settings(max_examples=12, deadline=None)
+    @given(view_dims=st.lists(st.integers(1, 3), min_size=1, max_size=2),
+           proj=st.integers(1, 2), bits=st.integers(1, 3), with_optim=st.booleans(),
+           extra=st.binary(min_size=1, max_size=16))
+    def test_truncated_or_padded_file_rejected(self, view_dims, proj, bits, with_optim, extra):
+        net_cfg = NetConfig(tuple(view_dims), proj, bits)
+        params = init_params(net_cfg, 0)
+        optim = init_optim(params) if with_optim else None
+        with tempfile.TemporaryDirectory() as tmp:
+            full, cut = Path(tmp) / "full.bin", Path(tmp) / "cut.bin"
+            save_checkpoint(full, params, net_cfg, config={"seed": 0}, optim=optim)
+            data = full.read_bytes()
+            assert params_equal(load_checkpoint(full).params, params)
+            for offset in range(len(data)):
+                cut.write_bytes(data[:offset])
+                assert_one_line_error(cut)
+            cut.write_bytes(data + extra)
+            assert_one_line_error(cut)
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: h["tensors"][0].update(shape=h["tensors"][0]["shape"][::-1]),
+        lambda h: h["tensors"][-1].update(name="bias"),
+        lambda h: h["tensors"].reverse(),
+        lambda h: h["net"].update(code_bits=2),
+    ], ids=["shape", "name", "order", "net"])
+    def test_header_must_match_layout(self, tmp_path, edit):
+        net_cfg = NetConfig((3, 2), 2, 3)
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, init_params(net_cfg, 0), net_cfg)
+        rewrite_header(path, edit)
+        assert_one_line_error(path)
+
+    def test_malformed_header_named(self, tmp_path):
+        net_cfg = NetConfig((3,), 2, 3)
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, init_params(net_cfg, 0), net_cfg)
+        rewrite_header(path, lambda h: h.pop("net"))
+        assert "'net'" in assert_one_line_error(path)
