@@ -11,7 +11,7 @@ import sys
 from dataclasses import asdict, fields
 from pathlib import Path
 
-from .data import SynthConfig, generate_synthetic, load_features, stack_labels, write_features
+from .data import SynthConfig, generate_synthetic, load_features, write_features
 from .gradcheck import REL_TOL, run_gradcheck
 from .net import binarize
 from .retrieval import build_index, evaluate, format_summary, pack_code, search, write_report_csv
@@ -70,17 +70,6 @@ def _add_train_flags(p):
                    choices=["constant", "cosine"], help="lr schedule (default constant)")
 
 
-def _eval_pipeline(config: dict, num_views: int):
-    """view_mask / gating matching the checkpoint's training ablation."""
-    ablation = config.get("ablation", "full")
-    view_mask = None
-    if ablation == "image-only":
-        view_mask = [v == 0 for v in range(num_views)]
-    elif ablation == "text-only":
-        view_mask = [v == 1 for v in range(num_views)]
-    return view_mask, ablation != "concat-only"
-
-
 def cmd_synth(args) -> int:
     cfg = SynthConfig(
         categories=args.categories, views=args.views,
@@ -119,17 +108,30 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
+def _encoder(args):
+    """The dataset, the checkpoint matched to it, and encode(split) -> sign codes."""
     ckpt = load_checkpoint(args.checkpoint)
     dataset = load_features(args.data)
-    view_mask, use_gating = _eval_pipeline(ckpt.config, ckpt.net_cfg.num_views)
-    q_codes = binarize(codes_for(dataset.query, ckpt.params, view_mask, use_gating))
-    db_codes = binarize(codes_for(dataset.retrieval, ckpt.params, view_mask, use_gating))
-    index = build_index(db_codes, [r.id for r in dataset.retrieval],
-                        stack_labels(dataset.retrieval))
+    if ckpt.net_cfg.view_dims != dataset.view_dims:
+        raise ValueError(f"checkpoint {args.checkpoint} has view_dims "
+                         f"{ckpt.net_cfg.view_dims}, dataset {args.data} has {dataset.view_dims}")
+    stored = {k: v for k, v in ckpt.config.items() if k != "best_epoch"}
+    try:
+        _, _, view_mask, use_gating = TrainConfig(**stored).pipeline(ckpt.net_cfg.num_views)
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"checkpoint {args.checkpoint}: stored config: {e}") from None
+
+    def encode(split):
+        return binarize(codes_for(split, ckpt.params, view_mask, use_gating))
+    return dataset, ckpt, encode
+
+
+def cmd_eval(args) -> int:
+    dataset, ckpt, encode = _encoder(args)
+    q_codes, db_codes = encode(dataset.query), encode(dataset.retrieval)
+    index = build_index(db_codes, dataset.retrieval.ids, dataset.retrieval.labels)
     cutoffs = _parse_dims(args.cutoffs) if args.cutoffs else ()
-    report = evaluate(q_codes, [r.id for r in dataset.query],
-                      stack_labels(dataset.query), index,
+    report = evaluate(q_codes, dataset.query.ids, dataset.query.labels, index,
                       cutoffs=cutoffs, config=ckpt.config)
     if args.out:
         write_report_csv(report, args.out)
@@ -138,16 +140,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_search(args) -> int:
-    ckpt = load_checkpoint(args.checkpoint)
-    dataset = load_features(args.data)
-    view_mask, use_gating = _eval_pipeline(ckpt.config, ckpt.net_cfg.num_views)
-    db_codes = binarize(codes_for(dataset.retrieval, ckpt.params, view_mask, use_gating))
-    index = build_index(db_codes, [r.id for r in dataset.retrieval],
-                        stack_labels(dataset.retrieval))
-    q_codes = binarize(codes_for(dataset.query, ckpt.params, view_mask, use_gating))
-    for qi, record in enumerate(dataset.query):
-        hits = search(index, pack_code(q_codes[qi]), args.k)
-        print(f"{record.id}: {' '.join(hits)}")
+    dataset, _, encode = _encoder(args)
+    index = build_index(encode(dataset.retrieval), dataset.retrieval.ids,
+                        dataset.retrieval.labels)
+    for qid, code in zip(dataset.query.ids, encode(dataset.query)):
+        print(f"{qid}: {' '.join(search(index, pack_code(code), args.k))}")
     return 0
 
 

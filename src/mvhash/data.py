@@ -3,7 +3,8 @@
 Datasets live on disk as a JSON manifest plus, per split, a raw
 little-endian float32 tensor file (one row per record, views concatenated
 in order) and a CSV sidecar with the record id and its multi-hot label as
-a bitstring. Features are widened to float64 on load.
+a bitstring. In memory a split is columnar: the ids, one (N, D) float64
+feature matrix (the file's rows widened) and one (N, C) int8 label matrix.
 """
 
 import csv
@@ -14,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 __all__ = [
-    "FeatureRecord",
+    "Columns",
     "DatasetSplit",
     "SynthConfig",
     "DatasetError",
@@ -27,6 +28,7 @@ __all__ = [
 ]
 
 MANIFEST_NAME = "manifest.json"
+_LOAD_ROWS = 4096  # rows per block when widening a feature file
 
 
 class DatasetError(ValueError):
@@ -34,22 +36,25 @@ class DatasetError(ValueError):
 
 
 @dataclass
-class FeatureRecord:
-    id: str
-    views: list  # one float64 vector per view
-    label: np.ndarray  # multi-hot over C categories
+class Columns:
+    """One split: row i is record ids[i], features[i] and labels[i]."""
+
+    ids: list
+    features: np.ndarray  # (N, D) float64, views concatenated in order
+    labels: np.ndarray  # (N, C) int8 multi-hot
+    view_dims: tuple
+
+    def __len__(self) -> int:
+        return len(self.ids)
 
 
 @dataclass
 class DatasetSplit:
-    train: list
-    retrieval: list
-    query: list
+    train: Columns
+    retrieval: Columns
+    query: Columns
     view_dims: tuple
     categories: int
-
-    def split(self, name: str):
-        return {"train": self.train, "retrieval": self.retrieval, "query": self.query}[name]
 
 
 @dataclass(frozen=True)
@@ -75,27 +80,20 @@ class SynthConfig:
             raise ValueError("multi_label_p must be in [0, 1]")
 
 
-def stack_views(records) -> list:
-    """Per-view (b, d_view) matrices for a batch of records."""
-    n_views = len(records[0].views)
-    return [np.stack([r.views[v] for r in records]) for v in range(n_views)]
+def stack_views(split: Columns, rows=None) -> list:
+    """Per-view (b, d_view) blocks of `rows` (default: all): C-contiguous copies
+    for an index array, views of `features` for a slice."""
+    rows = np.arange(len(split)) if rows is None else rows
+    out, off = [], 0
+    for d in split.view_dims:
+        out.append(split.features[rows, off:off + d])
+        off += d
+    return out
 
 
-def stack_labels(records) -> np.ndarray:
-    return np.stack([r.label for r in records]).astype(np.float64)
-
-
-def _label_bits(label: np.ndarray) -> str:
-    return "".join("1" if x else "0" for x in label)
-
-
-def _parse_label(bits: str, categories: int, rec_id: str) -> np.ndarray:
-    if len(bits) != categories or set(bits) - {"0", "1"}:
-        raise DatasetError(f"record {rec_id}: bad label string {bits!r}")
-    label = np.frombuffer(bits.encode(), dtype=np.uint8) - ord("0")
-    if label.sum() == 0:
-        raise DatasetError(f"record {rec_id}: no category set")
-    return label.astype(np.int8)
+def stack_labels(split: Columns, rows=None) -> np.ndarray:
+    """(b, C) float64 labels of `rows` (default: every row)."""
+    return (split.labels if rows is None else split.labels[rows]).astype(np.float64)
 
 
 def write_features(split: DatasetSplit, out_dir) -> Path:
@@ -108,26 +106,58 @@ def write_features(split: DatasetSplit, out_dir) -> Path:
         "splits": {},
     }
     for name in ("train", "retrieval", "query"):
-        records = split.split(name)
+        cols = getattr(split, name)
         feat_file = f"{name}.f32"
         rec_file = f"{name}.csv"
-        rows = np.concatenate(
-            [np.concatenate(r.views)[None, :] for r in records], axis=0
-        ) if records else np.zeros((0, sum(split.view_dims)))
-        rows.astype("<f4").tofile(out / feat_file)
+        cols.features.astype("<f4").tofile(out / feat_file)
+        chars = (cols.labels != 0).view(np.uint8) + ord("0")
+        bits = chars.view(f"S{split.categories}").ravel().astype(str)
         with open(out / rec_file, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["id", "label"])
-            for r in records:
-                writer.writerow([r.id, _label_bits(r.label)])
+            writer.writerows(zip(cols.ids, bits.tolist()))
         manifest["splits"][name] = {
             "features": feat_file,
             "records": rec_file,
-            "count": len(records),
+            "count": len(cols),
         }
     manifest_path = out / MANIFEST_NAME
     manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
     return manifest_path
+
+
+def _reject(name, ids, bad, problem):
+    """Raise for the first row flagged in `bad`, naming the split and the record id."""
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DatasetError(f"split {name!r}, record {ids[i]!r}: {problem(i)}")
+
+
+def _read_records(name, rec_path, count, categories):
+    """(ids, (count, C) int8 labels) of a CSV sidecar, checked as whole arrays."""
+    with open(rec_path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if rows[:1] != [["id", "label"]]:
+        raise DatasetError(f"split {name!r}: bad header in {rec_path.name}")
+    rows = rows[1:]
+    widths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    if (widths != 2).any():
+        raise DatasetError(f"split {name!r}: malformed row {int(np.argmax(widths != 2)) + 2}")
+    ids, bits = map(list, zip(*rows)) if rows else ([], [])
+    if len(ids) != count:  # name the first record past the count, or the last one
+        edge = f" (at record {ids[min(count, len(ids) - 1)]!r})" if ids else ""
+        raise DatasetError(f"split {name!r}: {len(ids)} records in {rec_path.name}{edge}, "
+                           f"manifest declares {count}")
+    first = np.unique(np.array(ids, dtype=str), return_index=True)[1]  # of each id
+    _reject(name, ids, np.isin(np.arange(count), first, invert=True), lambda i: "duplicate id")
+    # One column past C flags strings longer than C; shorter ones pad with 0.
+    chars = np.array(bits, dtype=f"<U{categories + 1}").view(np.uint32)
+    chars = chars.reshape(count, categories + 1)
+    ones = chars[:, :categories] == ord("1")
+    bad = (chars[:, categories] != 0) | ((chars[:, :categories] != ord("0")) & ~ones).any(axis=1)
+    _reject(name, ids, bad, lambda i: f"bad label string {bits[i]!r}")
+    _reject(name, ids, ~ones.any(axis=1), lambda i: "no category set")
+    return ids, ones.astype(np.int8)
 
 
 def load_features(manifest_path) -> DatasetSplit:
@@ -165,48 +195,21 @@ def load_features(manifest_path) -> DatasetSplit:
             if not p.exists():
                 raise DatasetError(f"split {name!r}: missing file {p}")
 
-        raw = np.fromfile(feat_path, dtype="<f4")
-        if raw.size != count * total_dim:
-            raise DatasetError(
-                f"split {name!r}: {feat_path.name} holds {raw.size} floats, "
-                f"expected {count} x {total_dim}"
-            )
-        feats = raw.astype(np.float64).reshape(count, total_dim)
+        size = feat_path.stat().st_size
+        if size != count * total_dim * 4:
+            raise DatasetError(f"split {name!r}: {feat_path.name} holds {size} bytes, "
+                               f"expected {count} x {total_dim} float32 values")
+        ids, labels = _read_records(name, rec_path, count, categories)
+        feats = np.empty((count, total_dim))
+        with open(feat_path, "rb") as fh:  # widened a block at a time, never all as float32
+            for block in np.split(feats, range(_LOAD_ROWS, count, _LOAD_ROWS)):
+                block[...] = np.fromfile(fh, "<f4", count=block.size).reshape(block.shape)
+        _reject(name, ids, ~np.isfinite(feats).all(axis=1), lambda i: "non-finite feature values")
+        splits[name] = Columns(ids, feats, labels, view_dims)
 
-        records = []
-        seen = set()
-        with open(rec_path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != ["id", "label"]:
-                raise DatasetError(f"split {name!r}: bad header in {rec_path.name}")
-            for i, row in enumerate(reader):
-                if len(row) != 2:
-                    raise DatasetError(f"split {name!r}: malformed row {i + 2}")
-                rec_id, bits = row
-                if rec_id in seen:
-                    raise DatasetError(f"split {name!r}: duplicate id {rec_id!r}")
-                seen.add(rec_id)
-                if i >= count:
-                    raise DatasetError(f"split {name!r}: more records than declared count")
-                vec = feats[i]
-                if not np.isfinite(vec).all():
-                    raise DatasetError(f"record {rec_id}: non-finite feature values")
-                views, off = [], 0
-                for d in view_dims:
-                    views.append(vec[off:off + d].copy())
-                    off += d
-                records.append(FeatureRecord(rec_id, views, _parse_label(bits, categories, rec_id)))
-        if len(records) != count:
-            raise DatasetError(
-                f"split {name!r}: {len(records)} records, manifest declares {count}"
-            )
-        splits[name] = records
-
-    if not splits["train"] or not splits["retrieval"] or not splits["query"]:
+    if not all(len(cols) for cols in splits.values()):
         raise DatasetError("all three splits must be non-empty")
-    return DatasetSplit(splits["train"], splits["retrieval"], splits["query"],
-                        view_dims, categories)
+    return DatasetSplit(**splits, view_dims=view_dims, categories=categories)
 
 
 def generate_synthetic(cfg: SynthConfig) -> DatasetSplit:
@@ -217,28 +220,30 @@ def generate_synthetic(cfg: SynthConfig) -> DatasetSplit:
     are drawn with probability multi_label_p. Deterministic under seed.
     """
     rng = np.random.default_rng(cfg.seed)
-    anchors = []  # per view: (C, d) unit rows
-    for d in cfg.view_dims:
-        a = rng.normal(size=(cfg.categories, d))
-        a /= np.linalg.norm(a, axis=1, keepdims=True)
-        anchors.append(a)
+    draws = [rng.normal(size=(cfg.categories, d)) for d in cfg.view_dims]
+    # (C, D): per view, unit anchor rows; views side by side
+    anchors = np.concatenate([a / np.linalg.norm(a, axis=1, keepdims=True) for a in draws], axis=1)
+    # Indexed [p, e] by a record's categories: e = -1 (the last entry) for
+    # a single-label record. A centre is the mean of the categories'
+    # anchors, (a + b) / 2 for two as mean() computes it, and a for one.
+    centers = np.concatenate([(anchors[:, None] + anchors[None]) / 2, anchors[:, None]], axis=1)
 
     def make(prefix, count):
-        records = []
+        # Each record draws its primary category, the multi-label coin, the
+        # optional second category, then its noise: one normal() call over
+        # all views draws the same stream as one call per view.
+        labels = np.zeros((count, cfg.categories), dtype=np.int8)
+        feats = np.empty((count, anchors.shape[1]))
         for i in range(count):
-            label = np.zeros(cfg.categories, dtype=np.int8)
-            primary = rng.integers(cfg.categories)
-            label[primary] = 1
+            p, e = rng.integers(cfg.categories), -1
             if cfg.categories > 1 and rng.random() < cfg.multi_label_p:
-                extra = rng.integers(cfg.categories - 1)
-                label[extra if extra < primary else extra + 1] = 1
-            cats = np.flatnonzero(label)
-            views = []
-            for v, d in enumerate(cfg.view_dims):
-                center = anchors[v][cats].mean(axis=0)
-                views.append(center + rng.normal(scale=cfg.noise_sigma, size=d))
-            records.append(FeatureRecord(f"{prefix}{i:06d}", views, label))
-        return records
+                e = rng.integers(cfg.categories - 1)
+                e = e if e < p else e + 1
+                labels[i, e] = 1
+            labels[i, p] = 1
+            np.add(centers[p, e], rng.normal(scale=cfg.noise_sigma, size=feats.shape[1]),
+                   out=feats[i])
+        return Columns([f"{prefix}{i:06d}" for i in range(count)], feats, labels, cfg.view_dims)
 
     return DatasetSplit(
         train=make("tr", cfg.train_size),
@@ -249,17 +254,17 @@ def generate_synthetic(cfg: SynthConfig) -> DatasetSplit:
     )
 
 
-def batches(records, batch_size: int, seed: int, epoch: int):
-    """Epoch-seeded shuffle, then full batches; a ragged tail is dropped.
+def batches(split: Columns, batch_size: int, seed: int, epoch: int):
+    """Epoch-seeded shuffle, then the row indices of each full batch.
 
-    Dropping the tail keeps the lambda-block slicing consistent across the
-    whole epoch.
+    A ragged tail is dropped, which keeps the lambda-block slicing
+    consistent across the whole epoch.
     """
     if batch_size < 2:
         raise ValueError("batch_size must be >= 2")
-    if batch_size > len(records):
-        raise ValueError(f"batch_size {batch_size} exceeds split size {len(records)}")
+    if batch_size > len(split):
+        raise ValueError(f"batch_size {batch_size} exceeds split size {len(split)}")
     rng = np.random.default_rng((seed, epoch))
-    order = rng.permutation(len(records))
-    for start in range(0, len(records) - batch_size + 1, batch_size):
-        yield [records[j] for j in order[start:start + batch_size]]
+    order = rng.permutation(len(split))
+    for start in range(0, len(split) - batch_size + 1, batch_size):
+        yield order[start:start + batch_size]

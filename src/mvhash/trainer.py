@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import net as netmod
-from .data import DatasetSplit, batches, stack_labels, stack_views
+from .data import Columns, DatasetSplit, batches, stack_labels, stack_views
 from .loss import LossConfig, total_loss
 from .net import ModelParams, NetConfig, binarize, forward_batch, init_params
 from .optim import OptimState, adamw_step, cosine_lr, init_optim
@@ -110,26 +110,23 @@ class TrainResult:
     best_map: float
 
 
-def codes_for(records, params: ModelParams, view_mask=None, use_gating=True,
+def codes_for(split: Columns, params: ModelParams, view_mask=None, use_gating=True,
               chunk: int = 512) -> np.ndarray:
-    """Continuous codes in eval mode (dropout off), chunked over the split."""
-    out = []
-    for start in range(0, len(records), chunk):
-        views = stack_views(records[start:start + chunk])
-        h, _ = forward_batch(views, params, dropout_p=0.0, train_mode=False,
+    """Continuous codes in eval mode (dropout off), over row slices of the split."""
+    out = np.empty((len(split), params.cfg.code_bits))
+    for start in range(0, len(split), chunk):
+        h, _ = forward_batch(stack_views(split, slice(start, start + chunk)), params,
+                             dropout_p=0.0, train_mode=False,
                              view_mask=view_mask, use_gating=use_gating)
-        out.append(h)
-    return np.concatenate(out, axis=0)
+        out[start:start + chunk] = h
+    return out
 
 
 def _test_map(dataset: DatasetSplit, params, view_mask, use_gating) -> float:
     q_codes = binarize(codes_for(dataset.query, params, view_mask, use_gating))
     db_codes = binarize(codes_for(dataset.retrieval, params, view_mask, use_gating))
-    index = build_index(db_codes, [r.id for r in dataset.retrieval],
-                        stack_labels(dataset.retrieval))
-    report = evaluate(q_codes, [r.id for r in dataset.query],
-                      stack_labels(dataset.query), index)
-    return report.map
+    index = build_index(db_codes, dataset.retrieval.ids, dataset.retrieval.labels)
+    return evaluate(q_codes, dataset.query.ids, dataset.query.labels, index).map
 
 
 def _snapshot(params: ModelParams) -> ModelParams:
@@ -153,15 +150,15 @@ def train(dataset: DatasetSplit, cfg: TrainConfig) -> TrainResult:
     for epoch in range(1, cfg.epochs + 1):
         t0 = time.perf_counter()
         losses = []
-        for bi, batch in enumerate(batches(dataset.train, cfg.batch_size,
-                                           cfg.seed, epoch)):
-            views = stack_views(batch)
+        for bi, rows in enumerate(batches(dataset.train, cfg.batch_size,
+                                          cfg.seed, epoch)):
+            views = stack_views(dataset.train, rows)
             h, tape = forward_batch(
                 views, params, dropout_p=cfg.dropout_p, train_mode=True,
                 rng_seed=(cfg.seed, epoch, bi), view_mask=view_mask,
                 use_gating=use_gating,
             )
-            loss, dH = total_loss(h, stack_labels(batch), loss_cfg,
+            loss, dH = total_loss(h, stack_labels(dataset.train, rows), loss_cfg,
                                   metric_weight=metric_weight)
             if not np.isfinite(loss):
                 raise RuntimeError(

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -5,9 +6,9 @@ import pytest
 
 from mvhash.cli import main
 from mvhash.data import load_features, stack_labels
-from mvhash.net import binarize
+from mvhash.net import NetConfig, binarize, init_params
 from mvhash.retrieval import average_precision, build_index, pack_code, search
-from mvhash.trainer import codes_for, load_checkpoint
+from mvhash.trainer import codes_for, load_checkpoint, save_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +61,29 @@ class TestSynth:
                      "--sigma", "0.1", "--seed", "5"]) == 0
         for name in ("train.f32", "retrieval.f32", "query.f32", "train.csv"):
             assert (tmp_path / name).read_bytes() == (dataset_dir / name).read_bytes()
+
+
+    def test_draw_order_pinned(self, tmp_path):
+        # The acceptance dataset and the benchmark corpora depend on the draw
+        # order; multi-label draws make every branch of the synthesis draw.
+        assert main(["synth", "--out", str(tmp_path), "--categories", "5",
+                     "--views", "3", "--view-dims", "3,4,2", "--train-size", "40",
+                     "--retrieval-size", "30", "--query-size", "10", "--sigma", "0.2",
+                     "--multi-label-p", "0.4", "--seed", "17"]) == 0
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in SYNTH_DIGESTS}
+        assert digests == SYNTH_DIGESTS
+
+
+SYNTH_DIGESTS = {
+    "train.f32": "e4e37ff2b1e699b09eaca99da9d620a08d9b12a1ff3cf1a276c49174ae6b6040",
+    "retrieval.f32": "12dc328f92f6bf471ffbfa328aef593fee0f6298e98873b93fa8f019f869d580",
+    "query.f32": "4e3fc1f72daebaa8f1e8957c8e398fd53bc485a275b400c84da227ee62a81d84",
+    "train.csv": "a6bdc456fb629d40b64c6fbbb22ea5417c6527d96e4402e854d7ce20b385a9d4",
+    "retrieval.csv": "3c89a2609a2506050c371a2029494f5384b3a7a1e8e3a0bd08494c55e6e70cad",
+    "query.csv": "e99acc6e3195b9eafc5bf4002f13544cd9c777f9be4fcefe2873cd7b85d906fb",
+    "manifest.json": "b4f5a04148a55039ce2cb02371ad9a13db5c2624994d7abdd9fa63390ab3c805",
+}
 
 
 class TestTrain:
@@ -147,10 +171,69 @@ class TestSearch:
         lines = capsys.readouterr().out.strip().splitlines()
         ckpt, split = load_checkpoint(checkpoint), load_features(dataset_dir)
         index = build_index(binarize(codes_for(split.retrieval, ckpt.params)),
-                            [r.id for r in split.retrieval], stack_labels(split.retrieval))
+                            split.retrieval.ids, stack_labels(split.retrieval))
         q_codes = binarize(codes_for(split.query, ckpt.params))
-        assert lines == [f"{r.id}: {' '.join(search(index, pack_code(q_codes[i]), 7))}"
-                         for i, r in enumerate(split.query)]
+        assert lines == [f"{qid}: {' '.join(search(index, pack_code(q_codes[i]), 7))}"
+                         for i, qid in enumerate(split.query.ids)]
+
+
+class TestCheckpointMatchesDataset:
+    def one_line_error(self, capsys):
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1
+        return err[0]
+
+    @pytest.mark.parametrize("command", ["eval", "search"])
+    def test_view_dims_mismatch_fails_up_front(self, run_dir, tmp_path, capsys, command):
+        swapped = tmp_path / "swapped"
+        assert main(["synth", "--out", str(swapped), "--categories", "3",
+                     "--view-dims", "5,6", "--train-size", "10",
+                     "--retrieval-size", "10", "--query-size", "4", "--seed", "1"]) == 0
+        capsys.readouterr()
+        checkpoint = run_dir / "checkpoint.bin"
+        assert main([command, "--checkpoint", str(checkpoint), "--data", str(swapped)]) == 1
+        err = self.one_line_error(capsys)
+        assert str(checkpoint) in err and str(swapped) in err
+        assert "(6, 5)" in err and "(5, 6)" in err
+
+    @pytest.mark.parametrize("command", ["eval", "search"])
+    def test_invalid_stored_pipeline_rejected(self, tmp_path, capsys, command):
+        # A text-only model needs a second view; one-view data must not run it
+        # on all-zero inputs.
+        data = tmp_path / "one_view"
+        assert main(["synth", "--out", str(data), "--categories", "3", "--views", "1",
+                     "--view-dims", "6", "--train-size", "10", "--retrieval-size", "10",
+                     "--query-size", "4", "--seed", "1"]) == 0
+        capsys.readouterr()
+        net_cfg = NetConfig((6,), 4, 8)
+        checkpoint = tmp_path / "text_only.bin"
+        save_checkpoint(checkpoint, init_params(net_cfg, 0), net_cfg,
+                        config={"ablation": "text-only", "best_epoch": 3})
+        assert main([command, "--checkpoint", str(checkpoint), "--data", str(data)]) == 1
+        err = self.one_line_error(capsys)
+        assert str(checkpoint) in err and "text-only" in err
+
+    def test_best_checkpoint_uses_stored_pipeline(self, dataset_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(dataset_dir), "--out", str(out),
+                     "--epochs", "2", "--batch-size", "8", "--bits", "8",
+                     "--proj-dim", "4", "--eval-every", "1", "--seed", "3",
+                     "--ablation", "image-only"]) == 0
+        checkpoint = out / "checkpoint_best.bin"
+        assert "best_epoch" in load_checkpoint(checkpoint).config
+        capsys.readouterr()
+        assert main(["search", "--checkpoint", str(checkpoint),
+                     "--data", str(dataset_dir), "-k", "3"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        ckpt, split = load_checkpoint(checkpoint), load_features(dataset_dir)
+        mask = [True, False]
+        index = build_index(binarize(codes_for(split.retrieval, ckpt.params, mask)),
+                            split.retrieval.ids, split.retrieval.labels)
+        q_codes = binarize(codes_for(split.query, ckpt.params, mask))
+        assert lines == [f"{qid}: {' '.join(search(index, pack_code(q_codes[i]), 3))}"
+                         for i, qid in enumerate(split.query.ids)]
 
 
 class TestGradcheck:

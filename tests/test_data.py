@@ -2,24 +2,26 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mvhash.data import (DatasetError, DatasetSplit, FeatureRecord, SynthConfig,
+from mvhash.data import (Columns, DatasetError, DatasetSplit, SynthConfig,
                          batches, generate_synthetic, load_features,
                          stack_labels, stack_views, write_features)
 
 
 def tiny_split():
     rng = np.random.default_rng(0)
-    def rec(prefix, i):
-        return FeatureRecord(
-            f"{prefix}{i}",
-            [rng.normal(size=4), rng.normal(size=3)],
-            np.array([1, 0] if i % 2 else [0, 1], dtype=np.int8),
+    def cols(prefix, n):
+        return Columns(
+            [f"{prefix}{i}" for i in range(n)],
+            rng.normal(size=(n, 7)),
+            np.array([[1, 0] if i % 2 else [0, 1] for i in range(n)], dtype=np.int8),
+            (4, 3),
         )
     return DatasetSplit(
-        train=[rec("t", i) for i in range(3)],
-        retrieval=[rec("r", i) for i in range(3)],
-        query=[rec("q", i) for i in range(2)],
+        train=cols("t", 3),
+        retrieval=cols("r", 3),
+        query=cols("q", 2),
         view_dims=(4, 3),
         categories=2,
     )
@@ -36,12 +38,11 @@ class TestRoundTrip:
     def test_values_identical(self, tmp_path):
         split = tiny_split()
         loaded = load_features(write_features(split, tmp_path))
-        for orig, back in zip(split.train, loaded.train):
-            assert back.id == orig.id
-            assert np.array_equal(back.label, orig.label)
-            for a, b in zip(orig.views, back.views):
-                # stored as float32, so round-trip is exact at that precision
-                assert np.array_equal(b, a.astype(np.float32).astype(np.float64))
+        orig, back = split.train, loaded.train
+        assert back.ids == orig.ids
+        assert np.array_equal(back.labels, orig.labels)
+        # stored as float32, so round-trip is exact at that precision
+        assert np.array_equal(back.features, orig.features.astype(np.float32).astype(np.float64))
 
     def test_accepts_directory_path(self, tmp_path):
         write_features(tiny_split(), tmp_path)
@@ -62,7 +63,7 @@ class TestValidation:
 
     def test_duplicate_id(self, tmp_path):
         split = tiny_split()
-        split.train[1].id = split.train[0].id
+        split.train.ids[1] = split.train.ids[0]
         write_features(split, tmp_path)
         with pytest.raises(DatasetError, match="duplicate id"):
             load_features(tmp_path)
@@ -83,6 +84,98 @@ class TestValidation:
         raw.tofile(feat)
         with pytest.raises(DatasetError, match="q0"):
             load_features(tmp_path)
+
+
+def rewrite_csv(tmp_path, name, edit):
+    path = tmp_path / f"{name}.csv"
+    path.write_text(edit(path.read_text()))
+
+
+class TestErrorNamesFirstBadRecord:
+    """Each check reports the split and the id of the first bad row, not row 0."""
+
+    def load_error(self, tmp_path):
+        with pytest.raises(DatasetError) as info:
+            load_features(tmp_path)
+        return str(info.value)
+
+    def test_non_finite_features(self, tmp_path):
+        write_features(tiny_split(), tmp_path)
+        feat = tmp_path / "retrieval.f32"
+        raw = np.fromfile(feat, dtype="<f4")
+        raw[7 + 3] = np.inf  # row 1 of 7-wide rows
+        raw[14] = np.nan  # row 2
+        raw.tofile(feat)
+        err = self.load_error(tmp_path)
+        assert "'retrieval'" in err and "'r1'" in err and "non-finite" in err
+        assert "'r0'" not in err and "'r2'" not in err
+
+    @pytest.mark.parametrize("bits", ["1x", "100", "1", "", "1 "])
+    def test_bad_label_string(self, tmp_path, bits):
+        write_features(tiny_split(), tmp_path)
+        rewrite_csv(tmp_path, "train", lambda t: t.replace("t1,10", f"t1,{bits}"))
+        err = self.load_error(tmp_path)
+        assert "'train'" in err and "'t1'" in err and "bad label string" in err
+        assert "'t0'" not in err
+
+    def test_empty_label(self, tmp_path):
+        write_features(tiny_split(), tmp_path)
+        rewrite_csv(tmp_path, "train", lambda t: t.replace("t2,01", "t2,00"))
+        err = self.load_error(tmp_path)
+        assert "'train'" in err and "'t2'" in err and "no category set" in err
+
+    def test_duplicate_id(self, tmp_path):
+        split = tiny_split()
+        split.retrieval.ids[:] = ["r0", "r1", "r1"]
+        write_features(split, tmp_path)
+        err = self.load_error(tmp_path)
+        assert "'retrieval'" in err and "'r1'" in err and "duplicate id" in err
+        assert "'r0'" not in err
+
+    def test_too_many_rows(self, tmp_path):
+        write_features(tiny_split(), tmp_path)
+        rewrite_csv(tmp_path, "query", lambda t: t + "q2,10\nq3,01\n")
+        err = self.load_error(tmp_path)
+        assert "'query'" in err and "'q2'" in err and "declares 2" in err
+        assert "'q3'" not in err
+
+    def test_too_few_rows(self, tmp_path):
+        write_features(tiny_split(), tmp_path)
+        rewrite_csv(tmp_path, "retrieval", lambda t: t.replace("r2,01\n", ""))
+        err = self.load_error(tmp_path)
+        assert "'retrieval'" in err and "'r1'" in err and "declares 3" in err
+
+    def test_malformed_row(self, tmp_path):
+        write_features(tiny_split(), tmp_path)
+        rewrite_csv(tmp_path, "train", lambda t: t.replace("t1,10", "t1,10,x"))
+        assert "malformed row 3" in self.load_error(tmp_path)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       counts=st.tuples(*[st.integers(1, 12)] * 3),
+       view_dims=st.lists(st.integers(1, 5), min_size=1, max_size=3).map(tuple),
+       categories=st.integers(1, 9),
+       ids=st.lists(st.text(alphabet='ab,"\' 1', min_size=1, max_size=4),
+                    min_size=36, max_size=36, unique=True))
+def test_round_trip_exact(tmp_path_factory, seed, counts, view_dims, categories, ids):
+    """write_features then load_features: ids, labels and float32-rounded features."""
+    rng = np.random.default_rng(seed)
+    parts, at = [], 0
+    for n in counts:
+        labels = (rng.random((n, categories)) < 0.4).astype(np.int8)
+        labels[np.arange(n), rng.integers(categories, size=n)] = 1
+        feats = rng.normal(scale=10.0 ** rng.integers(-3, 4), size=(n, sum(view_dims)))
+        parts.append(Columns(ids[at:at + n], feats, labels, view_dims))
+        at += n
+    split = DatasetSplit(*parts, view_dims=view_dims, categories=categories)
+    loaded = load_features(write_features(split, tmp_path_factory.mktemp("rt")))
+    assert (loaded.view_dims, loaded.categories) == (view_dims, categories)
+    for orig, back in zip(parts, (loaded.train, loaded.retrieval, loaded.query)):
+        assert back.ids == orig.ids
+        assert back.labels.dtype == np.int8 and np.array_equal(back.labels, orig.labels)
+        assert back.features.dtype == np.float64
+        assert np.array_equal(back.features, orig.features.astype(np.float32))
 
 
 def edit_manifest(tmp_path, edit):
@@ -122,24 +215,19 @@ class TestSynthetic:
         cfg = SynthConfig(noise_sigma=1e-12, train_size=40, retrieval_size=1,
                           query_size=1, seed=3)
         split = generate_synthetic(cfg)
-        by_cat = {}
-        for r in split.train:
-            by_cat.setdefault(tuple(r.label), []).append(r)
-        for group in by_cat.values():
-            first = group[0]
-            for other in group[1:]:
-                for a, b in zip(first.views, other.views):
-                    assert np.allclose(a, b, atol=1e-9)
+        labels, feats = split.train.labels, split.train.features
+        for label in np.unique(labels, axis=0):
+            group = feats[(labels == label).all(axis=1)]
+            assert np.allclose(group, group[0], atol=1e-9)
 
     def test_deterministic_under_seed(self):
         a = generate_synthetic(SynthConfig(seed=5, train_size=20, retrieval_size=5,
                                            query_size=5))
         b = generate_synthetic(SynthConfig(seed=5, train_size=20, retrieval_size=5,
                                            query_size=5))
-        for ra, rb in zip(a.train, b.train):
-            assert ra.id == rb.id
-            assert all(np.array_equal(x, y) for x, y in zip(ra.views, rb.views))
-            assert np.array_equal(ra.label, rb.label)
+        assert a.train.ids == b.train.ids
+        assert np.array_equal(a.train.features, b.train.features)
+        assert np.array_equal(a.train.labels, b.train.labels)
 
     def test_nearest_neighbor_separability(self):
         # 1-NN in raw concatenated feature space validates cluster structure
@@ -147,7 +235,7 @@ class TestSynthetic:
                           train_size=200, retrieval_size=1, query_size=1,
                           noise_sigma=0.1, seed=7)
         split = generate_synthetic(cfg)
-        feats = np.stack([np.concatenate(r.views) for r in split.train])
+        feats = split.train.features
         labels = stack_labels(split.train)
         dists = np.linalg.norm(feats[:, None, :] - feats[None, :, :], axis=2)
         np.fill_diagonal(dists, np.inf)
@@ -159,8 +247,8 @@ class TestSynthetic:
         split = generate_synthetic(SynthConfig(train_size=100, retrieval_size=10,
                                                query_size=10, multi_label_p=0.5,
                                                seed=9))
-        for r in split.train + split.retrieval + split.query:
-            assert r.label.sum() >= 1
+        for cols in (split.train, split.retrieval, split.query):
+            assert (cols.labels.sum(axis=1) >= 1).all()
 
     def test_multi_label_frequency(self):
         p = 0.3
@@ -168,15 +256,15 @@ class TestSynthetic:
         cfg = SynthConfig(train_size=n, retrieval_size=1, query_size=1,
                           multi_label_p=p, seed=11)
         split = generate_synthetic(cfg)
-        multi = sum(r.label.sum() > 1 for r in split.train)
+        multi = int((split.train.labels.sum(axis=1) > 1).sum())
         sigma = np.sqrt(n * p * (1 - p))
         assert abs(multi - n * p) <= 3 * sigma
 
 
 class TestBatches:
     def records(self, n):
-        return [FeatureRecord(str(i), [np.zeros(2)], np.array([1], dtype=np.int8))
-                for i in range(n)]
+        return Columns([str(i) for i in range(n)], np.zeros((n, 2)),
+                       np.ones((n, 1), dtype=np.int8), (2,))
 
     def test_drops_short_tail(self):
         out = list(batches(self.records(10), 4, seed=0, epoch=0))
@@ -185,17 +273,17 @@ class TestBatches:
 
     def test_deterministic_per_epoch(self):
         recs = self.records(10)
-        a = [[r.id for r in b] for b in batches(recs, 4, seed=1, epoch=2)]
-        b = [[r.id for r in b] for b in batches(recs, 4, seed=1, epoch=2)]
+        a = [[recs.ids[j] for j in b] for b in batches(recs, 4, seed=1, epoch=2)]
+        b = [[recs.ids[j] for j in b] for b in batches(recs, 4, seed=1, epoch=2)]
         assert a == b
-        c = [[r.id for r in b] for b in batches(recs, 4, seed=1, epoch=3)]
+        c = [[recs.ids[j] for j in b] for b in batches(recs, 4, seed=1, epoch=3)]
         assert a != c
 
     def test_permutation_no_duplicates(self):
         recs = self.records(12)
-        emitted = [r.id for b in batches(recs, 4, seed=2, epoch=0) for r in b]
+        emitted = [recs.ids[j] for b in batches(recs, 4, seed=2, epoch=0) for j in b]
         assert len(emitted) == len(set(emitted)) == 12
-        assert sorted(emitted) == sorted(r.id for r in recs)
+        assert sorted(emitted) == sorted(recs.ids)
 
     def test_batch_size_errors(self):
         with pytest.raises(ValueError):
@@ -208,3 +296,20 @@ def test_stack_views_shapes():
     split = tiny_split()
     views = stack_views(split.train)
     assert views[0].shape == (3, 4) and views[1].shape == (3, 3)
+
+
+@pytest.mark.parametrize("rows", [None, np.array([2, 0]), np.array([1])])
+def test_stack_views_c_contiguous(rows):
+    split = tiny_split()
+    views = stack_views(split.train, rows)
+    picked = split.train.features[np.arange(3) if rows is None else rows]
+    assert all(v.flags.c_contiguous for v in views)
+    assert np.array_equal(np.concatenate(views, axis=1), picked)
+
+
+def test_stack_labels_rows():
+    split = tiny_split()
+    labels = stack_labels(split.train, np.array([1, 2]))
+    assert labels.dtype == np.float64
+    assert np.array_equal(labels, split.train.labels[[1, 2]])
+    assert np.array_equal(stack_labels(split.train), split.train.labels)
