@@ -11,7 +11,7 @@ import sys
 from dataclasses import asdict, fields
 from pathlib import Path
 
-from .data import SynthConfig, generate_synthetic, load_features, write_features
+from .data import SPLITS, SynthConfig, generate_synthetic, load_features, write_features
 from .gradcheck import REL_TOL, run_gradcheck
 from .net import binarize
 from .retrieval import build_index, evaluate, format_summary, pack_code, search, write_report_csv
@@ -88,7 +88,8 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _train_config(args)
-    dataset = load_features(args.data)
+    # Without periodic evaluation, train() reads only the training split.
+    dataset = load_features(args.data, read=("train",) if cfg.eval_every == 0 else SPLITS)
     result = train(dataset, cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -28,6 +28,7 @@ __all__ = [
 ]
 
 MANIFEST_NAME = "manifest.json"
+SPLITS = ("train", "retrieval", "query")
 _LOAD_ROWS = 4096  # rows per block when widening a feature file
 
 
@@ -50,6 +51,8 @@ class Columns:
 
 @dataclass
 class DatasetSplit:
+    """The three splits; load_features leaves a split it did not read None."""
+
     train: Columns
     retrieval: Columns
     query: Columns
@@ -105,7 +108,7 @@ def write_features(split: DatasetSplit, out_dir) -> Path:
         "categories": split.categories,
         "splits": {},
     }
-    for name in ("train", "retrieval", "query"):
+    for name in SPLITS:
         cols = getattr(split, name)
         feat_file = f"{name}.f32"
         rec_file = f"{name}.csv"
@@ -160,8 +163,13 @@ def _read_records(name, rec_path, count, categories):
     return ids, ones.astype(np.int8)
 
 
-def load_features(manifest_path) -> DatasetSplit:
-    """Load and validate a dataset from its manifest."""
+def load_features(manifest_path, read=SPLITS) -> DatasetSplit:
+    """Load and validate a dataset from its manifest.
+
+    Every split's manifest entry, files and feature byte length are
+    checked; only the splits named in `read` are parsed and validated row
+    by row, and the others are None.
+    """
     path = Path(manifest_path)
     if path.is_dir():
         path = path / MANIFEST_NAME
@@ -183,8 +191,8 @@ def load_features(manifest_path) -> DatasetSplit:
     total_dim = sum(view_dims)
     base = path.parent
 
-    splits = {}
-    for name in ("train", "retrieval", "query"):
+    splits, counts = {}, []
+    for name in SPLITS:
         entry = require(split_table, name, "splits.")
         feat_path = base / require(entry, "features", f"splits.{name}.")
         rec_path = base / require(entry, "records", f"splits.{name}.")
@@ -199,6 +207,10 @@ def load_features(manifest_path) -> DatasetSplit:
         if size != count * total_dim * 4:
             raise DatasetError(f"split {name!r}: {feat_path.name} holds {size} bytes, "
                                f"expected {count} x {total_dim} float32 values")
+        counts.append(count)
+        if name not in read:
+            splits[name] = None
+            continue
         ids, labels = _read_records(name, rec_path, count, categories)
         feats = np.empty((count, total_dim))
         with open(feat_path, "rb") as fh:  # widened a block at a time, never all as float32
@@ -207,7 +219,7 @@ def load_features(manifest_path) -> DatasetSplit:
         _reject(name, ids, ~np.isfinite(feats).all(axis=1), lambda i: "non-finite feature values")
         splits[name] = Columns(ids, feats, labels, view_dims)
 
-    if not all(len(cols) for cols in splits.values()):
+    if not all(counts):
         raise DatasetError("all three splits must be non-empty")
     return DatasetSplit(**splits, view_dims=view_dims, categories=categories)
 

@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mvhash.data
 from mvhash.cli import main
 from mvhash.data import load_features, stack_labels
 from mvhash.net import NetConfig, binarize, init_params
@@ -117,6 +122,40 @@ class TestTrain:
         cfg_file.write_text(json.dumps({"learning_rate": 0.1}))
         assert main(["train", "--data", str(dataset_dir),
                      "--out", str(tmp_path / "x"), "--config", str(cfg_file)]) == 1
+
+
+class TestSplitsRead:
+    """Rows are parsed only for the splits a command reads."""
+
+    @pytest.fixture
+    def parsed(self, monkeypatch):
+        names, read_records = [], mvhash.data._read_records
+
+        def spy(name, *args):
+            names.append(name)
+            return read_records(name, *args)
+        monkeypatch.setattr(mvhash.data, "_read_records", spy)
+        return names
+
+    def train(self, dataset_dir, out, eval_every):
+        return main(["train", "--data", str(dataset_dir), "--out", str(out), "--epochs", "1",
+                     "--batch-size", "8", "--bits", "8", "--proj-dim", "4",
+                     "--eval-every", eval_every])
+
+    def test_train_without_eval_parses_train_only(self, dataset_dir, tmp_path, parsed):
+        assert self.train(dataset_dir, tmp_path, "0") == 0
+        assert parsed == ["train"]
+
+    def test_train_with_eval_parses_every_split(self, dataset_dir, tmp_path, parsed):
+        assert self.train(dataset_dir, tmp_path, "1") == 0
+        assert parsed == ["train", "retrieval", "query"]
+
+    @pytest.mark.parametrize("command", ["eval", "search"])
+    def test_eval_and_search_parse_every_split(self, dataset_dir, run_dir, parsed, command,
+                                               capsys):
+        assert main([command, "--checkpoint", str(run_dir / "checkpoint.bin"),
+                     "--data", str(dataset_dir)]) == 0
+        assert parsed == ["train", "retrieval", "query"]
 
 
 class TestEval:
@@ -265,6 +304,13 @@ class TestErrors:
         assert captured.out == ""
         err = captured.err.strip().splitlines()
         assert len(err) == 1 and "cutoffs" in err[0] and "0" in err[0]
+
+    def test_python_dash_m_runs_the_cli(self):
+        src = str(Path(mvhash.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-m", "mvhash", "--help"], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert done.returncode == 0
+        assert done.stdout.startswith("usage: mvhash")
 
     def test_help_documents_hyperparameters(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -48,6 +48,17 @@ class TestRoundTrip:
         write_features(tiny_split(), tmp_path)
         assert load_features(tmp_path).categories == 2
 
+    def test_unread_splits_checked_by_size_only(self, tmp_path):
+        write_features(tiny_split(), tmp_path)
+        rewrite_csv(tmp_path, "query", lambda t: t.replace("q1,10", "q1,1x"))
+        loaded = load_features(tmp_path, read=("train",))
+        assert loaded.retrieval is None and loaded.query is None
+        assert loaded.train.ids == ["t0", "t1", "t2"]
+        feat = tmp_path / "query.f32"
+        feat.write_bytes(feat.read_bytes()[:-4])
+        with pytest.raises(DatasetError, match="query"):
+            load_features(tmp_path, read=("train",))
+
 
 class TestValidation:
     def test_missing_manifest(self, tmp_path):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,11 +8,17 @@ from hypothesis import strategies as st
 from mvhash.linalg import ShapeError
 from mvhash.retrieval import (_BLOCK, EvalReport, average_precision, build_index,
                               evaluate, hamming_distance, pack_code, search,
-                              unpack_code, write_report_csv)
+                              write_report_csv)
 
 
 def random_codes(rng, n, k):
     return rng.choice([-1, 1], size=(n, k)).astype(np.int8)
+
+
+def unpack(code):
+    """The int8 +/-1 vector a HashCode packs."""
+    bits = np.unpackbits(np.frombuffer(code.words, dtype=np.uint8))[:code.k]
+    return np.where(bits > 0, 1, -1).astype(np.int8)
 
 
 def naive_hamming(a, b):
@@ -56,13 +64,13 @@ class TestPacking:
     def test_round_trip_examples(self):
         for bits in ([1, -1, 1], [1] * 16, [-1] * 37):
             v = np.array(bits, dtype=np.int8)
-            assert np.array_equal(unpack_code(pack_code(v)), v)
+            assert np.array_equal(unpack(pack_code(v)), v)
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=130))
     def test_round_trip_property(self, bits):
         v = np.array(bits, dtype=np.int8)
-        assert np.array_equal(unpack_code(pack_code(v)), v)
+        assert np.array_equal(unpack(pack_code(v)), v)
 
     def test_pad_bits_zero(self):
         code = pack_code(np.ones(5, dtype=np.int8))
@@ -312,3 +320,83 @@ class TestAgainstNaiveOracles:
         index = build_index(corpus, ids, c_labels)
         for q in queries:
             assert search(index, pack_code(q), k) == naive_search(corpus, ids, q, k)
+
+
+def tie_heavy_case(k, categories, seed):
+    """A corpus and queries drawn from a few codes and their complements, so
+    that distances tie often and reach k; half the queries share a corpus id."""
+    rng = np.random.default_rng(seed)
+    pool = random_codes(rng, 3, k)
+    pool = np.concatenate([pool, -pool])
+    n, nq = 40, _BLOCK + 5
+    corpus = pool[rng.integers(len(pool), size=n)]
+    flips = np.where(rng.random((nq, k)) < 0.05, -1, 1)
+    flips[::3] = 1  # exact pool rows: complements sit at distance k
+    queries = (pool[rng.integers(len(pool), size=nq)] * flips).astype(np.int8)
+    ids = [f"c{i}" for i in range(n)]
+    q_ids = [f"c{rng.integers(n)}" if i % 2 else f"q{i}" for i in range(nq)]
+    c_labels = (rng.random((n, categories)) < 0.3).astype(np.int8)
+    q_labels = (rng.random((nq, categories)) < 0.3).astype(np.int8)
+    return corpus, ids, c_labels, queries, q_ids, q_labels
+
+
+class TestDistanceTypeBoundary:
+    """Around K = 255 a distance, or the excluded item's k + 1, stops fitting
+    in one byte."""
+
+    @pytest.mark.parametrize("categories", [5, 12])  # 1- and 2-byte labels
+    @pytest.mark.parametrize("k", [254, 255, 256])
+    def test_evaluate(self, k, categories):
+        corpus, ids, c_labels, queries, q_ids, q_labels = tie_heavy_case(k, categories, k)
+        cutoffs = [1, 7, len(ids), len(ids) + 5]
+        report = evaluate(queries, q_ids, q_labels, build_index(corpus, ids, c_labels),
+                          cutoffs=cutoffs)
+        aps, ap_at, rec_at = naive_evaluate(corpus, ids, c_labels, queries, q_ids,
+                                            q_labels, cutoffs)
+        assert report.per_query_ap == pytest.approx(aps, abs=1e-15)
+        assert report.map_at_k == pytest.approx(ap_at, abs=1e-15)
+        assert report.recall_at_k == pytest.approx(rec_at, abs=1e-15)
+
+    @pytest.mark.parametrize("k", [254, 255, 256])
+    def test_search(self, k):
+        corpus, ids, c_labels, queries, *_ = tie_heavy_case(k, 12, k)
+        index = build_index(corpus, ids, c_labels)
+        for q in queries:
+            for top in (1, 10, len(ids)):
+                assert search(index, pack_code(q), top) == naive_search(corpus, ids, q, top)
+
+
+def pinned_report(k, seed):
+    """evaluate() on a seeded 2,000-item corpus with 10 categories, two-label
+    items, and 40 queries of which every other one is a corpus item."""
+    rng = np.random.default_rng(seed)
+    n, nq, categories = 2000, 40, 10
+    corpus = random_codes(rng, n, k)
+    c_labels = np.eye(categories, dtype=np.int8)[rng.integers(categories, size=n)]
+    c_labels |= (rng.random((n, categories)) < 0.1).astype(np.int8)
+    rows = rng.integers(n, size=nq)
+    queries = np.where(rng.random((nq, k)) < 0.1, -corpus[rows], corpus[rows])
+    q_ids = [f"c{r}" if i % 2 else f"q{i}" for i, r in enumerate(rows)]
+    index = build_index(corpus, [f"c{i}" for i in range(n)], c_labels)
+    return evaluate(queries, q_ids, c_labels[rows], index, cutoffs=(1, 10, 100, 2500))
+
+
+def _sha256(values):
+    return hashlib.sha256(np.array(values, dtype=np.float64).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("k", [64, 130])
+def test_report_bits_pinned(k):
+    # Any change to how evaluate() sums or divides shows here, not only
+    # changes beyond the oracle tests' 1e-15.
+    report = pinned_report(k, seed=k)
+    assert _sha256(report.per_query_ap) == PINNED_DIGESTS[k][0]
+    assert _sha256(report.map_at_k + report.recall_at_k) == PINNED_DIGESTS[k][1]
+
+
+PINNED_DIGESTS = {
+    64: ("b47c1f47aa54a3d83ad2577cbe767c66e1397b1382bfb755c52acfaf6276df41",
+         "6b8547e60b104906ca3aba037e426903857f28678eb5922385d1a7e98faac9de"),
+    130: ("d1b86293a63f5948cf1f88a786fee0edf94f8102a61dd860e56b11c0cca3acb8",
+          "5e1865c42418e477eb4e3767dc7d9c42ab0cebfbe05dd9ffec0c477c97f1d1ef"),
+}
