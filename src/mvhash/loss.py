@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ShapeError, sigmoid
+from .linalg import ShapeError
 
 __all__ = [
     "LossConfig",
@@ -86,17 +86,22 @@ def build_pair_block(H: np.ndarray, labels, cfg: LossConfig) -> PairBlock:
     return PairBlock(np.arange(m), np.arange(b - m, b), phi, sim)
 
 
-def _softplus(x: np.ndarray) -> np.ndarray:
-    # log(1 + e^x) without overflow for large |x|
-    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+def _metric(phi: np.ndarray, sim: np.ndarray, w_d: float):
+    """Mean of w_d*softplus(phi) - s*phi and its gradient in phi.
+
+    softplus(x) = max(x, 0) + log1p(e) and sigmoid(x) = [1 or e] / (1 + e)
+    share e = exp(-|x|), so neither overflows for large |x|.
+    """
+    m2 = phi.size
+    e = np.exp(-np.abs(phi))
+    terms = w_d * (np.maximum(phi, 0.0) + np.log1p(e)) - sim * phi
+    d_phi = (w_d * (np.where(phi >= 0, 1.0, e) / (1.0 + e)) - sim) / m2
+    return float(np.add.reduce(terms, axis=None) / m2), d_phi
 
 
 def metric_loss(block: PairBlock, cfg: LossConfig):
     """Mean over the block of w_d*softplus(phi) - s*phi; returns (loss, dPhi)."""
-    m2 = block.phi.size
-    loss = float(np.sum(cfg.w_d * _softplus(block.phi) - block.sim * block.phi) / m2)
-    d_phi = (cfg.w_d * sigmoid(block.phi) - block.sim) / m2
-    return loss, d_phi
+    return _metric(block.phi, block.sim, cfg.w_d)
 
 
 def _quantization(rows: np.ndarray, b: int):
@@ -104,13 +109,14 @@ def _quantization(rows: np.ndarray, b: int):
 
     The subgradient at h_k = 0 and at zero residual norm is taken as 0.
     """
-    resid = np.abs(rows) - 1.0
-    norms = np.sqrt((resid * resid).sum(axis=1))
+    resid = np.abs(rows)
+    resid -= 1.0
+    norms = np.sqrt(np.add.reduce(resid * resid, axis=1))
     nonzero = (norms > 0)[:, None]
-    g = np.divide(resid, norms[:, None], out=np.zeros_like(resid), where=nonzero)
+    g = np.divide(resid, norms[:, None], out=np.zeros(resid.shape), where=nonzero)
     np.multiply(g, np.sign(rows), out=g, where=nonzero)
     g /= b
-    return float(norms.sum() / b), g
+    return float(np.add.reduce(norms) / b), g
 
 
 def quantization_loss(H: np.ndarray, block_indices):
@@ -136,16 +142,20 @@ def total_loss(H: np.ndarray, labels, cfg: LossConfig, metric_weight: float = 1.
     The blocks H[:m] and H[b-m:] are disjoint because m = int(lam*b) <= b/2.
     """
     H = np.asarray(H, dtype=np.float64)
-    block = build_pair_block(H, labels, cfg)
-    lm, d_phi = metric_loss(block, cfg)
-    b, m = H.shape[0], block.phi.shape[0]
+    labels = np.asarray(labels, dtype=np.float64)
+    b = H.shape[0]
+    if b < 2:
+        raise ValueError("need a batch of at least 2 samples")
+    m = cfg.block_size(b)
     prec, rest = H[:m], H[b - m:]
+    lm, d_phi = _metric(prec @ rest.T, pairwise_similarity(labels[:m], labels[b - m:]),
+                        cfg.w_d)
     lq, g = _quantization(np.concatenate((prec, rest)), b)
-    dH = np.zeros_like(H)
+    g *= cfg.mu
+    dH = np.zeros(H.shape)
     dH[:m], dH[b - m:] = g[:m], g[m:]
 
     loss = metric_weight * lm + cfg.mu * lq
-    dH *= cfg.mu
     if metric_weight != 0.0:
         dH[:m] += metric_weight * (d_phi @ rest)
         dH[b - m:] += metric_weight * (d_phi.T @ prec)

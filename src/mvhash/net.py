@@ -113,13 +113,19 @@ def init_params(cfg: NetConfig, seed: int) -> ModelParams:
     return params
 
 
-def normalize_view(x: np.ndarray, params: ModelParams, view_index: int) -> np.ndarray:
-    """Project one view into the shared dimension, bounded to (-1, 1) by tanh."""
+def normalize_view(x: np.ndarray, params: ModelParams, view_index: int,
+                   out: np.ndarray = None) -> np.ndarray:
+    """Project one view into the shared dimension, bounded to (-1, 1) by tanh.
+
+    The result is written into `out` (allocated when None), which is returned.
+    """
     w = params.norm_w[view_index]
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != w.shape[1]:
         raise ShapeError(f"view {view_index}: expected dim {w.shape[1]}, got {x.shape[-1]}")
-    return np.tanh(x @ w.T + params.norm_b[view_index])
+    z = x @ w.T
+    z += params.norm_b[view_index]
+    return np.tanh(z, out=z if out is None else out)
 
 
 def context_gating(x_concat: np.ndarray, params: ModelParams):
@@ -127,8 +133,10 @@ def context_gating(x_concat: np.ndarray, params: ModelParams):
     x = np.asarray(x_concat, dtype=np.float64)
     if x.shape[-1] != params.fusion_w.shape[1]:
         raise ShapeError(f"expected fused dim {params.fusion_w.shape[1]}, got {x.shape[-1]}")
-    gate = sigmoid(x @ params.fusion_w.T + params.fusion_b)
-    return gate * x, gate
+    z = x @ params.fusion_w.T
+    z += params.fusion_b
+    gate = sigmoid(z)
+    return np.multiply(gate, x, out=z), gate
 
 
 def hash_head(x_fusion: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -136,7 +144,9 @@ def hash_head(x_fusion: np.ndarray, params: ModelParams) -> np.ndarray:
     x = np.asarray(x_fusion, dtype=np.float64)
     if x.shape[-1] != params.hash_w.shape[1]:
         raise ShapeError(f"expected fused dim {params.hash_w.shape[1]}, got {x.shape[-1]}")
-    return np.tanh(x @ params.hash_w.T + params.hash_b)
+    z = x @ params.hash_w.T
+    z += params.hash_b
+    return np.tanh(z, out=z)
 
 
 @dataclass
@@ -144,7 +154,7 @@ class BatchTape:
     """Forward-pass intermediates needed by the analytic backward pass."""
 
     raw_views: list  # per view, (b, d_view)
-    normalized: list  # per view, (b, proj_dim)
+    concat: np.ndarray  # per-view tanh projections side by side, (b, n)
     mask: np.ndarray  # inverted-dropout mask, entries in {0, 1/(1-p)}; None without dropout
     dropped: np.ndarray  # concat after dropout, (b, n)
     gate: np.ndarray  # (b, n); all-ones when gating disabled
@@ -181,8 +191,10 @@ def forward_batch(
     if view_mask is not None:
         raw = [v if keep else np.zeros_like(v) for v, keep in zip(raw, view_mask)]
 
-    normalized = [normalize_view(raw[v], params, v) for v in range(len(raw))]
-    concat = np.concatenate(normalized, axis=1)
+    p = params.cfg.proj_dim
+    concat = np.empty((b, len(raw) * p))
+    for v, x in enumerate(raw):
+        normalize_view(x, params, v, out=concat[:, v * p:(v + 1) * p])
 
     mask, dropped = None, concat
     if train_mode and dropout_p > 0.0:
@@ -198,7 +210,7 @@ def forward_batch(
         fused = dropped
 
     codes = hash_head(fused, params)
-    tape = BatchTape(raw, normalized, mask, dropped, gate, fused, codes, gated=use_gating)
+    tape = BatchTape(raw, concat, mask, dropped, gate, fused, codes, gated=use_gating)
     return codes, tape
 
 
@@ -217,7 +229,7 @@ def backward_batch(tape: BatchTape, params: ModelParams, dH: np.ndarray,
     # hash head: H = tanh(fused @ hash_w.T + hash_b)
     dA = dH * (1.0 - tape.codes ** 2)
     np.matmul(dA.T, tape.fused, out=grads.hash_w)
-    dA.sum(axis=0, out=grads.hash_b)
+    np.add.reduce(dA, axis=0, out=grads.hash_b)
     d_fused = dA @ params.hash_w
 
     # gating: fused = gate * dropped, gate = sigmoid(dropped @ fusion_w.T + fusion_b).
@@ -227,20 +239,23 @@ def backward_batch(tape: BatchTape, params: ModelParams, dH: np.ndarray,
         d_dropped = d_fused * tape.gate
         dZ = d_gate * tape.gate * (1.0 - tape.gate)
         np.matmul(dZ.T, tape.dropped, out=grads.fusion_w)
-        dZ.sum(axis=0, out=grads.fusion_b)
+        np.add.reduce(dZ, axis=0, out=grads.fusion_b)
         d_dropped += dZ @ params.fusion_w
     else:
         d_dropped = d_fused
         grads.fusion_w[...] = 0.0
         grads.fusion_b[...] = 0.0
 
-    d_concat = d_dropped if tape.mask is None else d_dropped * tape.mask
+    # tanh' of every view in one pass; each column block then feeds its view's weights
+    dP = d_dropped if tape.mask is None else d_dropped * tape.mask
+    dP *= 1.0 - tape.concat ** 2
 
-    proj = tape.normalized[0].shape[1]
-    for v, (x_raw, t) in enumerate(zip(tape.raw_views, tape.normalized)):
-        dP = d_concat[:, v * proj:(v + 1) * proj] * (1.0 - t ** 2)
-        np.matmul(dP.T, x_raw, out=grads.norm_w[v])
-        dP.sum(axis=0, out=grads.norm_b[v])
+    proj = params.cfg.proj_dim
+    for v, x_raw in enumerate(tape.raw_views):
+        # contiguous, so a 1-wide block takes the same matmul path as a full one
+        dP_v = np.ascontiguousarray(dP[:, v * proj:(v + 1) * proj])
+        np.matmul(dP_v.T, x_raw, out=grads.norm_w[v])
+        np.add.reduce(dP_v, axis=0, out=grads.norm_b[v])
     return grads
 
 

@@ -76,7 +76,8 @@ def adamw_step(params: ModelParams, grads: ModelParams, state: OptimState, lr=No
     tmp += state.eps
     np.divide(m, 1.0 - b1 ** t, out=upd)  # m_hat / (sqrt(v_hat) + eps) + wd * theta
     upd /= tmp
-    upd += np.multiply(theta, state.weight_decay, out=tmp)
+    if state.weight_decay:  # adding 0 * theta would change at most the sign of a zero
+        upd += np.multiply(theta, state.weight_decay, out=tmp)
     upd *= step_lr
     theta -= upd
     state.step = t

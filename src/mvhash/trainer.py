@@ -8,6 +8,7 @@ replaces the learned gate with the identity.
 
 import csv
 import json
+import math
 import struct
 import time
 from dataclasses import dataclass, field
@@ -160,7 +161,7 @@ def train(dataset: DatasetSplit, cfg: TrainConfig) -> TrainResult:
             )
             loss, dH = total_loss(h, stack_labels(dataset.train, rows), loss_cfg,
                                   metric_weight=metric_weight)
-            if not np.isfinite(loss):
+            if not math.isfinite(loss):
                 raise RuntimeError(
                     f"non-finite loss {loss} at epoch {epoch}, batch {bi}"
                 )
