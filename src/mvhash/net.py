@@ -168,7 +168,7 @@ def forward_batch(
     params: ModelParams,
     dropout_p: float = 0.0,
     train_mode: bool = False,
-    rng_seed: int = 0,
+    rng: np.random.Generator = None,
     view_mask=None,
     use_gating: bool = True,
 ):
@@ -177,7 +177,9 @@ def forward_batch(
     views: list with one (b, d_view) array per view. view_mask optionally
     zeroes whole views before normalization (single-view ablations);
     use_gating=False makes fusion the identity (concatenation ablation).
-    Returns (H, tape) with H of shape (b, K).
+    In train mode with dropout_p > 0 the keep mask is one rng.random draw
+    of shape (b, n); the caller owns the Generator, so successive batches
+    continue one stream. Returns (H, tape) with H of shape (b, K).
     """
     if not views or views[0].shape[0] == 0:
         raise ValueError("empty batch")
@@ -186,6 +188,9 @@ def forward_batch(
         raise ShapeError("views disagree on batch size")
     if not 0.0 <= dropout_p < 1.0:
         raise ValueError(f"dropout_p must be in [0, 1), got {dropout_p}")
+    dropout = train_mode and dropout_p > 0.0
+    if dropout and rng is None:
+        raise ValueError("train-mode dropout needs an rng (a numpy Generator)")
 
     raw = [np.asarray(v, dtype=np.float64) for v in views]
     if view_mask is not None:
@@ -197,8 +202,7 @@ def forward_batch(
         normalize_view(x, params, v, out=concat[:, v * p:(v + 1) * p])
 
     mask, dropped = None, concat
-    if train_mode and dropout_p > 0.0:
-        rng = np.random.default_rng(rng_seed)
+    if dropout:
         keep = rng.random(concat.shape) >= dropout_p
         mask = keep / (1.0 - dropout_p)
         dropped = concat * mask

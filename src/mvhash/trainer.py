@@ -28,6 +28,7 @@ __all__ = [
     "EpochRecord",
     "TrainResult",
     "train",
+    "dropout_stream",
     "export_curves",
     "codes_for",
     "save_checkpoint",
@@ -134,8 +135,23 @@ def _snapshot(params: ModelParams) -> ModelParams:
     return ModelParams(params.cfg, params.buf.copy())
 
 
+def dropout_stream(seed: int) -> np.random.Generator:
+    """The one Generator a training run draws its dropout masks from.
+
+    The spawn key keeps it apart from init_params' stream (seed) and the
+    shuffles of batches ((seed, epoch)). A plain (seed, 0) would not:
+    SeedSequence pads short entropy with zeros, so it equals seed.
+    """
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+
+
 def train(dataset: DatasetSplit, cfg: TrainConfig) -> TrainResult:
-    """Run the full training loop; deterministic under (cfg, dataset)."""
+    """Run the full training loop; deterministic under (cfg, dataset).
+
+    Every training batch draws its dropout mask from one stream per run,
+    dropout_stream(cfg.seed), in batch order. Periodic evaluation runs in
+    eval mode and draws nothing from it.
+    """
     net_cfg = NetConfig(dataset.view_dims, cfg.proj_dim, cfg.bits)
     loss_cfg, metric_weight, view_mask, use_gating = cfg.pipeline(net_cfg.num_views)
 
@@ -146,6 +162,7 @@ def train(dataset: DatasetSplit, cfg: TrainConfig) -> TrainResult:
     total_steps = cfg.epochs * steps_per_epoch
 
     grads = ModelParams(net_cfg)  # overwritten by every backward pass
+    rng = dropout_stream(cfg.seed)
     records = []
     best_params, best_epoch, best_map = _snapshot(params), 0, -1.0
     for epoch in range(1, cfg.epochs + 1):
@@ -154,11 +171,8 @@ def train(dataset: DatasetSplit, cfg: TrainConfig) -> TrainResult:
         for bi, rows in enumerate(batches(dataset.train, cfg.batch_size,
                                           cfg.seed, epoch)):
             views = stack_views(dataset.train, rows)
-            h, tape = forward_batch(
-                views, params, dropout_p=cfg.dropout_p, train_mode=True,
-                rng_seed=(cfg.seed, epoch, bi), view_mask=view_mask,
-                use_gating=use_gating,
-            )
+            h, tape = forward_batch(views, params, dropout_p=cfg.dropout_p, train_mode=True,
+                                    rng=rng, view_mask=view_mask, use_gating=use_gating)
             loss, dH = total_loss(h, stack_labels(dataset.train, rows), loss_cfg,
                                   metric_weight=metric_weight)
             if not math.isfinite(loss):

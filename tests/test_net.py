@@ -92,7 +92,7 @@ class TestForwardBatch:
 
     def test_no_dropout_train_equals_eval(self):
         h_train, _ = forward_batch(self.views, self.params, dropout_p=0.0,
-                                   train_mode=True, rng_seed=1)
+                                   train_mode=True, rng=np.random.default_rng(1))
         h_eval, _ = forward_batch(self.views, self.params, train_mode=False)
         assert np.array_equal(h_train, h_eval)
 
@@ -106,10 +106,23 @@ class TestForwardBatch:
 
     def test_dropout_deterministic_under_seed(self):
         a, _ = forward_batch(self.views, self.params, dropout_p=0.1,
-                             train_mode=True, rng_seed=7)
+                             train_mode=True, rng=np.random.default_rng(7))
         b, _ = forward_batch(self.views, self.params, dropout_p=0.1,
-                             train_mode=True, rng_seed=7)
+                             train_mode=True, rng=np.random.default_rng(7))
         assert np.array_equal(a, b)
+
+    def test_train_mode_dropout_needs_rng(self):
+        with pytest.raises(ValueError, match="rng"):
+            forward_batch(self.views, self.params, dropout_p=0.1, train_mode=True)
+        forward_batch(self.views, self.params, dropout_p=0.1, train_mode=False)
+
+    def test_dropout_continues_one_stream(self):
+        rng, replay = np.random.default_rng(4), np.random.default_rng(4)
+        for _ in range(3):
+            _, tape = forward_batch(self.views, self.params, dropout_p=0.5,
+                                    train_mode=True, rng=rng)
+            keep = replay.random(tape.mask.shape) >= 0.5
+            assert np.array_equal(tape.mask, keep / 0.5)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
@@ -122,7 +135,7 @@ class TestForwardBatch:
     def test_dropout_mask_mean(self):
         _, tape = forward_batch(
             [np.ones((200, d)) for d in self.cfg.view_dims], self.params,
-            dropout_p=0.1, train_mode=True, rng_seed=11)
+            dropout_p=0.1, train_mode=True, rng=np.random.default_rng(11))
         # 200 rows x fused_dim columns >= 1e5 draws would need a bigger batch;
         # draw masks directly at the same scale instead
         rng = np.random.default_rng(11)

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from mvhash.data import SynthConfig, generate_synthetic
 from mvhash.net import NetConfig, init_params
 from mvhash.optim import init_optim
-from mvhash.trainer import (Checkpoint, EpochRecord, TrainConfig, export_curves,
-                            load_checkpoint, save_checkpoint, train)
+from mvhash.trainer import (Checkpoint, EpochRecord, TrainConfig, dropout_stream,
+                            export_curves, load_checkpoint, save_checkpoint, train)
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +82,28 @@ class TestTrain:
             TrainConfig(**{field: value})
         assert str(info.value).startswith(f"{field} must be")
         assert "\n" not in str(info.value)
+
+
+class TestDropoutStream:
+    def test_evaluation_draws_nothing_from_it(self, tiny_dataset):
+        # dropout on (0.1 by default): a periodic eval that drew from the
+        # training stream would shift every later mask
+        runs = [train(tiny_dataset, TrainConfig(epochs=3, **{**SMALL, "eval_every": every}))
+                for every in (0, 1)]
+        assert [r.test_map is None for r in runs[1].records] == [False] * 3
+        a, b = (r.params.buf.tobytes() for r in runs)
+        assert a == b
+        for moment in ("m", "v"):
+            a, b = (getattr(r.optim_state, moment).tobytes() for r in runs)
+            assert a == b
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**40])
+    def test_apart_from_init_and_shuffle_streams(self, seed):
+        draws = dropout_stream(seed).random(8)
+        assert np.array_equal(draws, dropout_stream(seed).random(8))
+        others = [seed] + [(seed, epoch) for epoch in range(4)]
+        for other in others:
+            assert not np.array_equal(draws, np.random.default_rng(other).random(8))
 
 
 class TestPipelineMapping:
