@@ -19,23 +19,34 @@ from .trainer import (TrainConfig, codes_for, export_curves, load_checkpoint,
                       save_checkpoint, train)
 
 
-def _parse_dims(text):
-    return tuple(int(d) for d in text.split(","))
+def _parse_dims(text, flag):
+    try:
+        return tuple(int(d) for d in text.split(","))
+    except ValueError:
+        raise ValueError(f"{flag}: expected comma-separated integers, got {text!r}") from None
 
 
 def _train_config(args) -> TrainConfig:
-    """Config-file values overridden by any explicitly passed flags."""
+    """Config-file values overridden by any explicitly passed flags.
+
+    The file must hold a valid config on its own; its errors name the file.
+    """
     values = {}
     if args.config:
-        values.update(json.loads(Path(args.config).read_text()))
-    names = {f.name for f in fields(TrainConfig)}
-    unknown = set(values) - names
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    for name in names:
-        flag = getattr(args, name, None)
+        try:
+            values = json.loads(Path(args.config).read_text())
+            if not isinstance(values, dict):
+                raise ValueError(f"expected a JSON object, got {type(values).__name__}")
+            unknown = set(values) - {f.name for f in fields(TrainConfig)}
+            if unknown:
+                raise ValueError(f"unknown config keys: {sorted(unknown)}")
+            TrainConfig(**values)
+        except ValueError as e:
+            raise ValueError(f"config {args.config}: {e}") from None
+    for f in fields(TrainConfig):
+        flag = getattr(args, f.name, None)
         if flag is not None:
-            values[name] = flag
+            values[f.name] = flag
     return TrainConfig(**values)
 
 
@@ -73,7 +84,7 @@ def _add_train_flags(p):
 def cmd_synth(args) -> int:
     cfg = SynthConfig(
         categories=args.categories, views=args.views,
-        view_dims=_parse_dims(args.view_dims),
+        view_dims=_parse_dims(args.view_dims, "--view-dims"),
         train_size=args.train_size, retrieval_size=args.retrieval_size,
         query_size=args.query_size, noise_sigma=args.sigma,
         multi_label_p=args.multi_label_p, seed=args.seed,
@@ -131,7 +142,7 @@ def cmd_eval(args) -> int:
     dataset, ckpt, encode = _encoder(args)
     q_codes, db_codes = encode(dataset.query), encode(dataset.retrieval)
     index = build_index(db_codes, dataset.retrieval.ids, dataset.retrieval.labels)
-    cutoffs = _parse_dims(args.cutoffs) if args.cutoffs else ()
+    cutoffs = _parse_dims(args.cutoffs, "--cutoffs") if args.cutoffs else ()
     report = evaluate(q_codes, dataset.query.ids, dataset.query.labels, index,
                       cutoffs=cutoffs, config=ckpt.config)
     if args.out:

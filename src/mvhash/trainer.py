@@ -11,7 +11,7 @@ import json
 import math
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +60,12 @@ class TrainConfig:
     lr_schedule: str = "constant"  # or "cosine"
 
     def __post_init__(self):
+        for f in fields(self):  # exact types, so a bool or a string never passes
+            value = getattr(self, f.name)
+            if f.type is int and type(value) is not int:
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            if f.type is float and (type(value) not in (int, float) or not math.isfinite(value)):
+                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
         if self.ablation not in ABLATIONS:
             raise ValueError(f"unknown ablation {self.ablation!r}; pick one of {ABLATIONS}")
         if self.lr_schedule not in ("constant", "cosine"):

@@ -117,6 +117,22 @@ class TestTrain:
         assert resolved["bits"] == 8  # flag wins
         assert resolved["mu"] == 0.25  # config file survives
 
+    @pytest.mark.parametrize("text,detail", [
+        ('{"bits": "16"}', "bits must be an integer, got '16'"),
+        ('{"bits": 16.5}', "bits must be an integer, got 16.5"),
+        ('{"lr": true}', "lr must be a finite number, got True"),
+        ('[1, 2]', "expected a JSON object, got list"),
+        ('{"bits": 16,', "Expecting property name"),
+    ])
+    def test_bad_config_file_is_one_line_naming_it(self, dataset_dir, tmp_path, capsys,
+                                                   text, detail):
+        cfg_file = tmp_path / "bad.json"
+        cfg_file.write_text(text)
+        assert main(["train", "--data", str(dataset_dir), "--out", str(tmp_path / "x"),
+                     "--config", str(cfg_file), "--epochs", "1"]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and str(cfg_file) in err[0] and detail in err[0]
+
     def test_unknown_config_key_rejected(self, dataset_dir, tmp_path):
         cfg_file = tmp_path / "bad.json"
         cfg_file.write_text(json.dumps({"learning_rate": 0.1}))
@@ -304,6 +320,20 @@ class TestErrors:
         assert captured.out == ""
         err = captured.err.strip().splitlines()
         assert len(err) == 1 and "cutoffs" in err[0] and "0" in err[0]
+
+    @pytest.mark.parametrize("argv,flag,text", [
+        (["synth", "--view-dims", "16,x"], "--view-dims", "'16,x'"),
+        (["eval", "--cutoffs", "10,abc"], "--cutoffs", "'10,abc'"),
+    ])
+    def test_bad_integer_list_names_the_flag(self, dataset_dir, run_dir, tmp_path, capsys,
+                                             argv, flag, text):
+        where = (["--out", str(tmp_path)] if argv[0] == "synth" else
+                 ["--checkpoint", str(run_dir / "checkpoint.bin"), "--data", str(dataset_dir)])
+        assert main([*argv, *where]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {flag}:") and text in err[0]
 
     def test_python_dash_m_runs_the_cli(self):
         src = str(Path(mvhash.__file__).resolve().parents[1])

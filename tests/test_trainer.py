@@ -83,6 +83,18 @@ class TestTrain:
         assert str(info.value).startswith(f"{field} must be")
         assert "\n" not in str(info.value)
 
+    @pytest.mark.parametrize("field,value", [
+        ("bits", "16"), ("bits", 16.5), ("bits", True), ("epochs", None),
+        ("seed", 1.0), ("lr", "1e-3"), ("lr", True), ("mu", float("nan")),
+        ("weight_decay", float("inf")), ("dropout_p", [0.1]),
+    ])
+    def test_wrong_type_rejected_at_construction(self, field, value):
+        with pytest.raises(ValueError) as info:
+            TrainConfig(**{field: value})
+        assert str(info.value).startswith(f"{field} must be")
+        assert repr(value) in str(info.value)
+        assert "\n" not in str(info.value)
+
 
 class TestDropoutStream:
     def test_evaluation_draws_nothing_from_it(self, tiny_dataset):
