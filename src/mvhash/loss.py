@@ -20,7 +20,6 @@ __all__ = [
     "pairwise_similarity",
     "build_pair_block",
     "metric_loss",
-    "quantization_loss",
     "total_loss",
     "hamming_from_inner",
 ]
@@ -31,7 +30,6 @@ class LossConfig:
     lam: float = 0.5  # fraction of the batch in each block, in (0, 0.5]
     mu: float = 0.5  # quantization weight
     w_d: float = 1.5  # softplus weight (dissimilar pairs still repel)
-    binarize_similarity: bool = True  # False: raw label inner products (experimental)
 
     def __post_init__(self):
         if not 0.0 < self.lam <= 0.5:
@@ -57,20 +55,13 @@ class PairBlock:
     sim: np.ndarray  # (m, m) pairwise similarity
 
 
-def pairwise_similarity(labels_a, labels_b, binarize: bool = True) -> np.ndarray:
-    """Similarity matrix between two label sets: 1 iff any category is shared.
-
-    With binarize=False returns the raw label inner products instead (can
-    exceed 1 for multi-label data).
-    """
+def pairwise_similarity(labels_a, labels_b) -> np.ndarray:
+    """Similarity matrix between two label sets: 1 iff any category is shared."""
     a = np.asarray(labels_a, dtype=np.float64)
     b = np.asarray(labels_b, dtype=np.float64)
     if a.shape[-1] != b.shape[-1]:
         raise ShapeError(f"category counts differ: {a.shape[-1]} vs {b.shape[-1]}")
-    prod = a @ b.T
-    if binarize:
-        return (prod > 0).astype(np.float64)
-    return prod
+    return (a @ b.T > 0).astype(np.float64)
 
 
 def build_pair_block(H: np.ndarray, labels, cfg: LossConfig) -> PairBlock:
@@ -82,7 +73,7 @@ def build_pair_block(H: np.ndarray, labels, cfg: LossConfig) -> PairBlock:
     m = cfg.block_size(b)
     labels = np.asarray(labels, dtype=np.float64)
     phi = H[:m] @ H[b - m:].T
-    sim = pairwise_similarity(labels[:m], labels[b - m:], binarize=cfg.binarize_similarity)
+    sim = pairwise_similarity(labels[:m], labels[b - m:])
     return PairBlock(np.arange(m), np.arange(b - m, b), phi, sim)
 
 
@@ -119,27 +110,14 @@ def _quantization(rows: np.ndarray, b: int):
     return float(np.add.reduce(norms) / b), g
 
 
-def quantization_loss(H: np.ndarray, block_indices):
-    """Mean (over the full batch size) of || |h_i| - 1 ||_2 for i in the block.
-
-    The normalizer is 1/b even though only 2*lam*b rows contribute. The
-    subgradient at h_k = 0 and at zero residual norm is taken as 0.
-    Returns (loss, dH).
-    """
-    H = np.asarray(H, dtype=np.float64)
-    idx = np.asarray(block_indices, dtype=np.intp)
-    loss, g = _quantization(H[idx], H.shape[0])
-    dH = np.zeros_like(H)
-    dH[idx] = g
-    return loss, dH
-
-
 def total_loss(H: np.ndarray, labels, cfg: LossConfig, metric_weight: float = 1.0):
     """Metric + mu * quantization; returns (loss, dH) over the whole batch.
 
-    metric_weight exists for the ablation that removes the metric term
-    entirely (set it to 0); rows outside the two blocks get zero gradient.
-    The blocks H[:m] and H[b-m:] are disjoint because m = int(lam*b) <= b/2.
+    Both terms cover only the blocks H[:m] and H[b-m:], which are disjoint
+    because m = int(lam*b) <= b/2; rows between them get zero gradient. The
+    quantization term sums || |h| - 1 ||_2 over the 2m block rows and divides
+    by b, not 2m. metric_weight exists for the ablation that removes the
+    metric term entirely (set it to 0).
     """
     H = np.asarray(H, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)

@@ -4,7 +4,7 @@ import pytest
 from mvhash.linalg import ShapeError
 from mvhash.loss import (LossConfig, PairBlock, build_pair_block,
                          hamming_from_inner, metric_loss, pairwise_similarity,
-                         quantization_loss, total_loss)
+                         total_loss)
 
 CFG = LossConfig(lam=0.5, mu=0.5, w_d=1.5)
 
@@ -46,10 +46,6 @@ class TestPairwiseSimilarity:
 
     def test_multi_label_binarized(self):
         assert pairwise_similarity([[1, 1, 0]], [[1, 1, 0]])[0, 0] == 1.0
-
-    def test_raw_product_variant(self):
-        out = pairwise_similarity([[1, 1, 0]], [[1, 1, 0]], binarize=False)
-        assert out[0, 0] == 2.0
 
     def test_category_count_mismatch(self):
         with pytest.raises(ShapeError):
@@ -132,30 +128,41 @@ class TestMetricLoss:
 
 
 class TestQuantizationLoss:
+    """The quantization term alone: total_loss with metric_weight=0 and mu=1.
+
+    lam picks the block rows: 0.5 takes every row of a batch of 2, and
+    LossConfig(lam=0.25) on a batch of 4 takes rows 0 and 3.
+    """
+
+    @staticmethod
+    def quantization(H, lam=0.5):
+        labels = np.zeros((H.shape[0], 2))
+        return total_loss(H, labels, LossConfig(lam=lam, mu=1.0), metric_weight=0.0)
+
     def test_exact_binary_codes(self):
         H = np.array([[1.0, -1.0, 1.0], [-1.0, -1.0, 1.0]])
-        loss, dH = quantization_loss(H, [0, 1])
+        loss, dH = self.quantization(H)
         assert loss == 0.0
         assert np.all(dH == 0.0)
 
     def test_zero_vector(self):
         K = 9
-        loss, _ = quantization_loss(np.zeros((1, K)), [0])
+        loss, _ = self.quantization(np.zeros((2, K)))
         assert loss == pytest.approx(np.sqrt(K), abs=1e-12)
 
     def test_half_magnitude(self):
-        loss, _ = quantization_loss(np.full((1, 4), 0.5), [0])
+        loss, _ = self.quantization(np.full((2, 4), 0.5))
         assert loss == pytest.approx(1.0, abs=1e-12)
 
     def test_normalizer_is_batch_size(self):
         # only half the batch is in the block; the divisor stays b
         H = np.zeros((4, 4))
-        loss, _ = quantization_loss(H, [0, 3])
+        loss, _ = self.quantization(H, lam=0.25)
         assert loss == pytest.approx(2 * 2.0 / 4, abs=1e-12)
 
     def test_rows_outside_block_untouched(self):
         H = np.full((4, 2), 0.3)
-        _, dH = quantization_loss(H, [0, 3])
+        _, dH = self.quantization(H, lam=0.25)
         assert np.all(dH[1] == 0.0) and np.all(dH[2] == 0.0)
 
 
