@@ -95,19 +95,23 @@ def metric_loss(block: PairBlock, cfg: LossConfig):
     return _metric(block.phi, block.sim, cfg.w_d)
 
 
-def _quantization(rows: np.ndarray, b: int):
-    """(sum of || |h| - 1 ||_2 over rows, divided by b; its gradient per row).
+def _quantization(H: np.ndarray, m: int):
+    """(sum of || |h| - 1 ||_2 over the rows of H[:m] and H[b-m:], divided by b;
+    its gradient, zero on the rows between those blocks).
 
     The subgradient at h_k = 0 and at zero residual norm is taken as 0.
     """
-    resid = np.abs(rows)
+    b = H.shape[0]
+    resid = np.abs(H)
     resid -= 1.0
     norms = np.sqrt(np.add.reduce(resid * resid, axis=1))
+    total = np.add.reduce(np.concatenate((norms[:m], norms[b - m:])))
+    norms[m:b - m] = 0.0  # no gradient between the blocks
     nonzero = (norms > 0)[:, None]
     g = np.divide(resid, norms[:, None], out=np.zeros(resid.shape), where=nonzero)
-    np.multiply(g, np.sign(rows), out=g, where=nonzero)
+    np.multiply(g, np.sign(H), out=g, where=nonzero)
     g /= b
-    return float(np.add.reduce(norms) / b), g
+    return float(total / b), g
 
 
 def total_loss(H: np.ndarray, labels, cfg: LossConfig, metric_weight: float = 1.0):
@@ -128,10 +132,8 @@ def total_loss(H: np.ndarray, labels, cfg: LossConfig, metric_weight: float = 1.
     prec, rest = H[:m], H[b - m:]
     lm, d_phi = _metric(prec @ rest.T, pairwise_similarity(labels[:m], labels[b - m:]),
                         cfg.w_d)
-    lq, g = _quantization(np.concatenate((prec, rest)), b)
-    g *= cfg.mu
-    dH = np.zeros(H.shape)
-    dH[:m], dH[b - m:] = g[:m], g[m:]
+    lq, dH = _quantization(H, m)
+    dH *= cfg.mu
 
     loss = metric_weight * lm + cfg.mu * lq
     if metric_weight != 0.0:
