@@ -77,6 +77,11 @@ class TrainConfig:
             ("batch_size", self.batch_size >= 2, ">= 2"),
             ("dropout_p", 0.0 <= self.dropout_p < 1.0, "in [0, 1)"),
             ("lr", self.lr > 0.0, "> 0"),
+            ("beta1", 0.0 <= self.beta1 < 1.0, "in [0, 1)"),
+            ("beta2", 0.0 <= self.beta2 < 1.0, "in [0, 1)"),
+            ("eps", self.eps > 0.0, "> 0"),
+            ("weight_decay", self.weight_decay >= 0.0, ">= 0"),
+            ("seed", self.seed >= 0, ">= 0"),
             ("eval_every", self.eval_every >= 0, ">= 0"),
         ):
             if not ok:
