@@ -109,6 +109,23 @@ class HammingIndex:
     labels: np.ndarray  # (ceil(C / 8), N) uint8 packed multi-hot labels, one row per byte
     categories: int  # C
     position: dict  # id -> row
+    distinct: np.ndarray  # (ceil(K / 64), U) uint64, each distinct code once, by first row
+    members: np.ndarray  # (N,) rows grouped by distinct code, ascending within a code
+    starts: np.ndarray  # (U + 1,) code u's rows are members[starts[u]:starts[u + 1]]
+
+
+def _group(rows):
+    """Distinct rows of a (N, W) array in order of first occurrence: their
+    first row numbers, and the (members, starts) grouping of N rows by them."""
+    flat = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    _, first, inverse = np.unique(flat, return_index=True, return_inverse=True)
+    by_first = np.argsort(first)
+    rank = np.empty_like(by_first)
+    rank[by_first] = np.arange(by_first.size)
+    code = rank[inverse]
+    starts = np.zeros(by_first.size + 1, dtype=np.intp)
+    np.cumsum(np.bincount(code, minlength=by_first.size), out=starts[1:])
+    return first[by_first], np.argsort(code, kind="stable"), starts
 
 
 def build_index(codes, ids, labels) -> HammingIndex:
@@ -123,38 +140,49 @@ def build_index(codes, ids, labels) -> HammingIndex:
     if len(position) != len(ids):
         raise ValueError("index ids must be unique")
     words = _padded(np.packbits(codes > 0, axis=1), np.uint64)
+    first, members, starts = _group(words)
     packed_labels = _padded(np.packbits(labels > 0, axis=1), np.uint8)
     return HammingIndex(k=codes.shape[1], words=words.T.copy(), ids=list(ids),
                         labels=packed_labels.T.copy(), categories=labels.shape[1],
-                        position=position)
+                        position=position, distinct=words[first].T.copy(),
+                        members=members, starts=starts)
 
 
 def search(index: HammingIndex, query: HashCode, k: int):
-    """Ids of the k nearest codes; ties break by ascending insertion position."""
+    """Ids of the k nearest codes; ties break by ascending insertion position.
+
+    Only the U distinct codes are scanned. Every code holds at least one
+    row, so with t the smallest distance within which lie c = min(k, U)
+    codes, the k nearest rows all lie within t. Fewer than c codes lie
+    below t, and at t only the first c - |below| codes in first-row order
+    can contribute: any later code's rows follow one row of each of them.
+    No code contributes more than its first k rows. Those at most c * k
+    candidates are ordered by (distance, row) and cut to k.
+    """
     if not index.ids:
         raise RuntimeError("index is empty")
     if k < 1:
         raise ValueError("k must be >= 1")
     if query.k != index.k:
         raise ShapeError(f"query has {query.k} bits, index stores {index.k}")
-    dist = _scan(index.words, _padded(np.frombuffer(query.words, dtype=np.uint8)[None],
-                                      np.uint64), index.k)[0]
-    k = min(k, dist.size)
-    # t is the k-th smallest distance. The hits are the (fewer than k) items
-    # below t, ranked, then the first items at t in position order; however
-    # many items tie at t, none of them is copied or sorted.
+    dist = _scan(index.distinct, _padded(np.frombuffer(query.words, dtype=np.uint8)[None],
+                                         np.uint64), index.k)[0]
+    c = min(k, dist.size)
     t = int(dist.min())
-    while np.count_nonzero(dist <= t) < k:
+    while np.count_nonzero(within := dist <= t) < c:
         t += 1
-    below = np.flatnonzero(dist < t)
-    hits = below[np.argsort(dist[below], kind="stable")].tolist()
-    at_t = dist == t
-    pos = 0
-    while len(hits) < k:
-        pos += int(np.argmax(at_t[pos:]))
-        hits.append(pos)
-        pos += 1
-    return [index.ids[i] for i in hits]
+    near = np.flatnonzero(within)
+    at_t = dist[near] == t
+    below = near.size - np.count_nonzero(at_t)
+    near = near[~at_t | (np.cumsum(at_t) <= c - below)]  # every code below t, c - below at t
+    # the first min(size, k) rows of each near code, keyed by (distance, row)
+    lo = index.starts[near]
+    take = np.minimum(index.starts[near + 1] - lo, k)
+    ends = np.cumsum(take)
+    rows = index.members[np.repeat(lo - ends + take, take) + np.arange(ends[-1])]
+    n = len(index.ids)
+    key = np.repeat(dist[near].astype(np.intp) * n, take) + rows
+    return [index.ids[i] for i in (np.sort(key)[:k] % n).tolist()]
 
 
 def average_precision(ranked_relevance, total_relevant: int, cutoff=None) -> float:

@@ -322,6 +322,66 @@ class TestAgainstNaiveOracles:
             assert search(index, pack_code(q), k) == naive_search(corpus, ids, q, k)
 
 
+
+@st.composite
+def grouped_cases(draw):
+    """A tall corpus of a few distinct codes, each repeated many times.
+
+    The codes are random, so their first rows are out of value order, and
+    rows of different codes interleave. Queries sit at or near the codes,
+    so distances tie across codes.
+    """
+    k = draw(st.sampled_from([16, 64, 130]))
+    distinct = draw(st.integers(1, 30))
+    n = draw(st.integers(distinct, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = random_codes(rng, distinct, k)
+    group = np.concatenate([rng.permutation(distinct), rng.integers(distinct, size=n - distinct)])
+    corpus = pool[rng.permutation(group)]
+    queries = np.where(rng.random((4, k)) < 0.05, -1, 1) * pool[rng.integers(distinct, size=4)]
+    return corpus, [f"c{i}" for i in range(n)], queries.astype(np.int8)
+
+
+class TestDistinctCodes:
+    """search() scans each distinct code once; see build_index's layout."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(grouped_cases(), st.data())
+    def test_search_tall_groups(self, case, data):
+        corpus, ids, queries = case
+        index = build_index(corpus, ids, np.ones((len(ids), 1), dtype=np.int8))
+        for q in queries:
+            top = data.draw(st.integers(1, len(ids) + 5))
+            assert search(index, pack_code(q), top) == naive_search(corpus, ids, q, top)
+
+    @settings(max_examples=50, deadline=None)
+    @given(grouped_cases())
+    def test_layout(self, case):
+        corpus, ids, _ = case
+        index = build_index(corpus, ids, np.ones((len(ids), 1), dtype=np.int8))
+        n, members, starts = len(ids), index.members, index.starts
+        assert np.array_equal(np.sort(members), np.arange(n))
+        assert starts[0] == 0 and starts[-1] == n and np.all(np.diff(starts) > 0)
+        first = members[starts[:-1]]
+        assert np.all(np.diff(first) > 0)  # codes in first-row order
+        for u in range(len(starts) - 1):
+            rows = members[starts[u]:starts[u + 1]]
+            assert np.all(np.diff(rows) > 0)
+            assert np.all(corpus[rows] == corpus[rows[0]])
+            assert np.array_equal(index.words[:, rows],
+                                  np.repeat(index.distinct[:, u:u + 1], rows.size, axis=1))
+        assert len({tuple(col) for col in index.distinct.T}) == len(starts) - 1
+
+    @pytest.mark.parametrize("top", [10, 25])
+    def test_fewer_codes_than_k(self, top):
+        rng = np.random.default_rng(9)
+        corpus = random_codes(rng, 3, 16)[rng.integers(3, size=20)]
+        ids = [f"c{i}" for i in range(20)]
+        index = build_index(corpus, ids, np.ones((20, 1), dtype=np.int8))
+        assert index.distinct.shape == (1, 3)
+        for q in np.concatenate([corpus[:3], random_codes(rng, 5, 16)]):
+            assert search(index, pack_code(q), top) == naive_search(corpus, ids, q, top)
+
 def tie_heavy_case(k, categories, seed):
     """A corpus and queries drawn from a few codes and their complements, so
     that distances tie often and reach k; half the queries share a corpus id."""
