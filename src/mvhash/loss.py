@@ -18,10 +18,8 @@ __all__ = [
     "LossConfig",
     "PairBlock",
     "pairwise_similarity",
-    "build_pair_block",
     "metric_loss",
     "total_loss",
-    "hamming_from_inner",
 ]
 
 
@@ -62,19 +60,6 @@ def pairwise_similarity(labels_a, labels_b) -> np.ndarray:
     if a.shape[-1] != b.shape[-1]:
         raise ShapeError(f"category counts differ: {a.shape[-1]} vs {b.shape[-1]}")
     return (a @ b.T > 0).astype(np.float64)
-
-
-def build_pair_block(H: np.ndarray, labels, cfg: LossConfig) -> PairBlock:
-    """Slice the first and last lam*b rows and form their phi/sim matrices."""
-    H = np.asarray(H, dtype=np.float64)
-    b = H.shape[0]
-    if b < 2:
-        raise ValueError("need a batch of at least 2 samples")
-    m = cfg.block_size(b)
-    labels = np.asarray(labels, dtype=np.float64)
-    phi = H[:m] @ H[b - m:].T
-    sim = pairwise_similarity(labels[:m], labels[b - m:])
-    return PairBlock(np.arange(m), np.arange(b - m, b), phi, sim)
 
 
 def _metric(phi: np.ndarray, sim: np.ndarray, w_d: float):
@@ -141,9 +126,3 @@ def total_loss(H: np.ndarray, labels, cfg: LossConfig, metric_weight: float = 1.
         dH[b - m:] += metric_weight * (d_phi.T @ prec)
     return loss, dH
 
-
-def hamming_from_inner(phi: float, k: int) -> float:
-    """Hamming distance of two +/-1 codes from their inner product: (k - phi)/2."""
-    if abs(phi) > k:
-        raise ValueError(f"|phi|={abs(phi)} exceeds code length {k}")
-    return 0.5 * (k - phi)

@@ -2,11 +2,22 @@ import numpy as np
 import pytest
 
 from mvhash.linalg import ShapeError
-from mvhash.loss import (LossConfig, PairBlock, build_pair_block,
-                         hamming_from_inner, metric_loss, pairwise_similarity,
-                         total_loss)
+from mvhash.loss import LossConfig, PairBlock, metric_loss, pairwise_similarity, total_loss
 
 CFG = LossConfig(lam=0.5, mu=0.5, w_d=1.5)
+
+
+def build_pair_block(H, labels, cfg):
+    """Block reference: the first and last lam*b rows and their phi/sim matrices."""
+    H = np.asarray(H, dtype=np.float64)
+    b = H.shape[0]
+    if b < 2:
+        raise ValueError("need a batch of at least 2 samples")
+    m = cfg.block_size(b)
+    labels = np.asarray(labels, dtype=np.float64)
+    phi = H[:m] @ H[b - m:].T
+    sim = pairwise_similarity(labels[:m], labels[b - m:])
+    return PairBlock(np.arange(m), np.arange(b - m, b), phi, sim)
 
 
 def naive_total_loss(H, labels, cfg, metric_weight=1.0):
@@ -216,20 +227,3 @@ class TestTotalLoss:
         _, dH = total_loss(H, labels, cfg)
         assert np.all(dH[2:6] == 0.0)
 
-
-class TestHammingFromInner:
-    @pytest.mark.parametrize("phi,expected", [(16, 0.0), (-16, 16.0), (0, 8.0)])
-    def test_examples(self, phi, expected):
-        assert hamming_from_inner(phi, 16) == expected
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            hamming_from_inner(17, 16)
-
-    def test_identity_against_popcount(self):
-        rng = np.random.default_rng(5)
-        for K in (16, 32, 64, 128):
-            for _ in range(100):
-                a = rng.choice([-1, 1], size=K)
-                b = rng.choice([-1, 1], size=K)
-                assert hamming_from_inner(float(a @ b), K) == np.sum(a != b)
