@@ -132,6 +132,10 @@ def _encoder(args):
         _, _, view_mask, use_gating = TrainConfig(**stored).pipeline(ckpt.net_cfg.num_views)
     except (TypeError, ValueError) as e:
         raise ValueError(f"checkpoint {args.checkpoint}: stored config: {e}") from None
+    for key, built in (("bits", ckpt.net_cfg.code_bits), ("proj_dim", ckpt.net_cfg.proj_dim)):
+        if key in stored and stored[key] != built:  # a partial config may leave a key out
+            raise ValueError(f"checkpoint {args.checkpoint}: stored config has {key} "
+                             f"{stored[key]}, its network has {built}")
 
     def encode(split):
         return binarize(codes_for(split, ckpt.params, view_mask, use_gating))
@@ -144,7 +148,7 @@ def cmd_eval(args) -> int:
     index = build_index(db_codes, dataset.retrieval.ids, dataset.retrieval.labels)
     cutoffs = _parse_dims(args.cutoffs, "--cutoffs") if args.cutoffs else ()
     report = evaluate(q_codes, dataset.query.ids, dataset.query.labels, index,
-                      cutoffs=cutoffs, config=ckpt.config)
+                      cutoffs=cutoffs)
     if args.out:
         write_report_csv(report, args.out)
     print(format_summary(report))

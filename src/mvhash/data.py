@@ -43,7 +43,6 @@ class Columns:
     ids: list
     features: np.ndarray  # (N, D) float64, views concatenated in order
     labels: np.ndarray  # (N, C) int8 multi-hot
-    view_dims: tuple
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -83,15 +82,10 @@ class SynthConfig:
             raise ValueError("multi_label_p must be in [0, 1]")
 
 
-def stack_views(split: Columns, rows=None) -> list:
-    """Per-view (b, d_view) blocks of `rows` (default: all): C-contiguous copies
-    for an index array, views of `features` for a slice."""
-    rows = np.arange(len(split)) if rows is None else rows
-    out, off = [], 0
-    for d in split.view_dims:
-        out.append(split.features[rows, off:off + d])
-        off += d
-    return out
+def stack_views(split: Columns, rows=None) -> np.ndarray:
+    """(b, D) feature rows of `rows` (default: all), views side by side: a
+    C-contiguous copy for an index array, a view of `features` for a slice."""
+    return split.features if rows is None else split.features[rows]
 
 
 def stack_labels(split: Columns, rows=None) -> np.ndarray:
@@ -217,7 +211,7 @@ def load_features(manifest_path, read=SPLITS) -> DatasetSplit:
             for block in np.split(feats, range(_LOAD_ROWS, count, _LOAD_ROWS)):
                 block[...] = np.fromfile(fh, "<f4", count=block.size).reshape(block.shape)
         _reject(name, ids, ~np.isfinite(feats).all(axis=1), lambda i: "non-finite feature values")
-        splits[name] = Columns(ids, feats, labels, view_dims)
+        splits[name] = Columns(ids, feats, labels)
 
     if not all(counts):
         raise DatasetError("all three splits must be non-empty")
@@ -255,7 +249,7 @@ def generate_synthetic(cfg: SynthConfig) -> DatasetSplit:
             labels[i, p] = 1
             np.add(centers[p, e], rng.normal(scale=cfg.noise_sigma, size=feats.shape[1]),
                    out=feats[i])
-        return Columns([f"{prefix}{i:06d}" for i in range(count)], feats, labels, cfg.view_dims)
+        return Columns([f"{prefix}{i:06d}" for i in range(count)], feats, labels)
 
     return DatasetSplit(
         train=make("tr", cfg.train_size),

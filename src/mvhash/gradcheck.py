@@ -21,8 +21,8 @@ class GradCheckResult:
     failures: int
 
 
-def _loss_of(params, views, labels, loss_cfg):
-    h, _ = forward_batch(views, params, dropout_p=0.0, train_mode=False)
+def _loss_of(params, x, labels, loss_cfg):
+    h, _ = forward_batch(x, params, dropout_p=0.0, train_mode=False)
     loss, _ = total_loss(h, labels, loss_cfg)
     return loss
 
@@ -31,36 +31,29 @@ def check_case(net_cfg: NetConfig, loss_cfg: LossConfig, batch_size: int, seed: 
     """(max relative error, failure count) for one random instance."""
     rng = np.random.default_rng(seed)
     params = init_params(net_cfg, seed)
-    views = [rng.normal(size=(batch_size, d)) for d in net_cfg.view_dims]
+    x = np.hstack([rng.normal(size=(batch_size, d)) for d in net_cfg.view_dims])
     # labels drawn so similar and dissimilar pairs both occur
     labels = np.zeros((batch_size, 3), dtype=np.int8)
     labels[np.arange(batch_size), rng.integers(3, size=batch_size)] = 1
 
-    h, tape = forward_batch(views, params, dropout_p=0.0, train_mode=False)
+    h, tape = forward_batch(x, params, dropout_p=0.0, train_mode=False)
     _, dH = total_loss(h, labels, loss_cfg)
     analytic = backward_batch(tape, params, dH)
 
-    theta, grad = params.buf, analytic.buf
-    max_rel, failures = 0.0, 0
-    for i in range(theta.size):
-        orig = theta[i]
+    theta, fd = params.buf, np.empty(params.buf.size)
+    for i, orig in enumerate(theta.tolist()):
         theta[i] = orig + STEP
-        up = _loss_of(params, views, labels, loss_cfg)
+        up = _loss_of(params, x, labels, loss_cfg)
         theta[i] = orig - STEP
-        down = _loss_of(params, views, labels, loss_cfg)
+        fd[i] = (up - _loss_of(params, x, labels, loss_cfg)) / (2 * STEP)
         theta[i] = orig
-        fd = (up - down) / (2 * STEP)
-        a = grad[i]
-        diff = abs(a - fd)
-        scale = max(abs(a), abs(fd))
-        if scale > ABS_FLOOR:
-            rel = diff / scale
-            max_rel = max(max_rel, rel)
-            if rel > REL_TOL:
-                failures += 1
-        elif diff > ABS_FLOOR:
-            failures += 1
-    return max_rel, failures
+    # relative error where either side exceeds the floor, absolute error elsewhere
+    diff = np.abs(analytic.buf - fd)
+    scale = np.maximum(np.abs(analytic.buf), np.abs(fd))
+    big = scale > ABS_FLOOR
+    rel = diff[big] / scale[big]
+    failures = np.count_nonzero(rel > REL_TOL) + np.count_nonzero(diff[~big] > ABS_FLOOR)
+    return float(rel.max(initial=0.0)), int(failures)
 
 
 def run_gradcheck(seed: int = 0, cases: int = 20) -> GradCheckResult:

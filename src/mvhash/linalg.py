@@ -1,30 +1,12 @@
-"""Shape errors, a checked matrix product and the numerically stable sigmoid."""
+"""Shape errors and the numerically stable sigmoid."""
 
 import numpy as np
 
-__all__ = ["ShapeError", "as_matrix", "matmul", "sigmoid"]
+__all__ = ["ShapeError", "sigmoid"]
 
 
 class ShapeError(ValueError):
     """Operand dimensions do not conform."""
-
-
-def as_matrix(a) -> np.ndarray:
-    m = np.ascontiguousarray(a, dtype=np.float64)
-    if m.ndim != 2:
-        raise ShapeError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    if not np.isfinite(m).all():
-        raise ValueError("matrix contains non-finite values")
-    return m
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product; (r_a, c_a) x (c_a, c_b) -> (r_a, c_b)."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dims differ ({a.shape} x {b.shape})")
-    return a @ b
 
 
 def sigmoid(x) -> np.ndarray:

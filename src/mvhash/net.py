@@ -1,14 +1,20 @@
 """Multi-view hashing network: per-view projection, gated fusion, tanh hash head.
 
-The forward pass caches every intermediate in a BatchTape so the backward
-pass can produce analytic gradients without an autograd framework. Training
-keeps the continuous tanh codes; sign-thresholding happens only when codes
-are emitted for retrieval (`binarize`), since sgn has zero gradient almost
+A batch is one (b, D) block of feature rows with the views side by side,
+the layout a dataset split stores. `forward_batch` slices each view's
+columns by `NetConfig.view_dims`, projects them into a shared dimension,
+gates their concatenation and maps it to K continuous codes, and it caches
+every intermediate in a BatchTape so that `backward_batch` can produce
+analytic gradients without an autograd framework. Training keeps the
+continuous tanh codes; sign-thresholding happens only when codes are
+emitted for retrieval (`binarize`), since sgn has zero gradient almost
 everywhere and the quantization loss already pushes |h| toward 1.
 """
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -19,9 +25,6 @@ __all__ = [
     "ModelParams",
     "BatchTape",
     "init_params",
-    "normalize_view",
-    "context_gating",
-    "hash_head",
     "forward_batch",
     "backward_batch",
     "binarize",
@@ -37,15 +40,27 @@ class NetConfig:
     code_bits: int
 
     def __post_init__(self):
-        object.__setattr__(self, "view_dims", tuple(int(d) for d in self.view_dims))
-        if len(self.view_dims) < 1 or any(d < 1 for d in self.view_dims):
-            raise ValueError("need at least one view with positive dimension")
-        if self.proj_dim < 1 or self.code_bits < 1:
-            raise ValueError("proj_dim and code_bits must be positive")
+        object.__setattr__(self, "view_dims", tuple(self.view_dims))
+        if not self.view_dims:
+            raise ValueError("view_dims: need at least one view")
+        for name, value in [("view_dims", d) for d in self.view_dims] + [
+                ("proj_dim", self.proj_dim), ("code_bits", self.code_bits)]:
+            if type(value) is not int or value < 1:  # exact, so a float or a bool never passes
+                raise ValueError(f"{name}: expected a positive integer, got {value!r}")
 
     @property
     def num_views(self) -> int:
         return len(self.view_dims)
+
+    @property
+    def input_dim(self) -> int:
+        return sum(self.view_dims)
+
+    @cached_property
+    def view_columns(self) -> tuple:
+        """Per view, the slice of its columns in a (b, input_dim) feature block."""
+        ends = tuple(accumulate(self.view_dims))
+        return tuple(slice(e - d, e) for d, e in zip(self.view_dims, ends))
 
     @property
     def fused_dim(self) -> int:
@@ -113,58 +128,21 @@ def init_params(cfg: NetConfig, seed: int) -> ModelParams:
     return params
 
 
-def normalize_view(x: np.ndarray, params: ModelParams, view_index: int,
-                   out: np.ndarray = None) -> np.ndarray:
-    """Project one view into the shared dimension, bounded to (-1, 1) by tanh.
-
-    The result is written into `out` (allocated when None), which is returned.
-    """
-    w = params.norm_w[view_index]
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != w.shape[1]:
-        raise ShapeError(f"view {view_index}: expected dim {w.shape[1]}, got {x.shape[-1]}")
-    z = x @ w.T
-    z += params.norm_b[view_index]
-    return np.tanh(z, out=z if out is None else out)
-
-
-def context_gating(x_concat: np.ndarray, params: ModelParams):
-    """Sigmoid gate over the concatenated features; returns (fused, gate)."""
-    x = np.asarray(x_concat, dtype=np.float64)
-    if x.shape[-1] != params.fusion_w.shape[1]:
-        raise ShapeError(f"expected fused dim {params.fusion_w.shape[1]}, got {x.shape[-1]}")
-    z = x @ params.fusion_w.T
-    z += params.fusion_b
-    gate = sigmoid(z)
-    return np.multiply(gate, x, out=z), gate
-
-
-def hash_head(x_fusion: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Linear layer + tanh producing continuous codes in (-1, 1)."""
-    x = np.asarray(x_fusion, dtype=np.float64)
-    if x.shape[-1] != params.hash_w.shape[1]:
-        raise ShapeError(f"expected fused dim {params.hash_w.shape[1]}, got {x.shape[-1]}")
-    z = x @ params.hash_w.T
-    z += params.hash_b
-    return np.tanh(z, out=z)
-
-
 @dataclass
 class BatchTape:
     """Forward-pass intermediates needed by the analytic backward pass."""
 
-    raw_views: list  # per view, (b, d_view)
+    x: np.ndarray  # input rows, views side by side, (b, D); masked views' columns zero
     concat: np.ndarray  # per-view tanh projections side by side, (b, n)
     mask: np.ndarray  # inverted-dropout mask, entries in {0, 1/(1-p)}; None without dropout
     dropped: np.ndarray  # concat after dropout, (b, n)
-    gate: np.ndarray  # (b, n); all-ones when gating disabled
+    gate: np.ndarray  # (b, n); None when gating is off
     fused: np.ndarray  # (b, n)
     codes: np.ndarray  # continuous codes H, (b, K)
-    gated: bool = True
 
 
 def forward_batch(
-    views: list,
+    x: np.ndarray,
     params: ModelParams,
     dropout_p: float = 0.0,
     train_mode: bool = False,
@@ -174,32 +152,35 @@ def forward_batch(
 ):
     """Run the network on a batch.
 
-    views: list with one (b, d_view) array per view. view_mask optionally
-    zeroes whole views before normalization (single-view ablations);
-    use_gating=False makes fusion the identity (concatenation ablation).
-    In train mode with dropout_p > 0 the keep mask is one rng.random draw
-    of shape (b, n); the caller owns the Generator, so successive batches
-    continue one stream. Returns (H, tape) with H of shape (b, K).
+    x: (b, D) feature rows, views side by side in `params.cfg.view_dims`
+    order; it is never written to. view_mask optionally zeroes whole views
+    before normalization (single-view ablations); use_gating=False makes
+    fusion the identity (concatenation ablation). In train mode with
+    dropout_p > 0 the keep mask is one rng.random draw of shape (b, n);
+    the caller owns the Generator, so successive batches continue one
+    stream. Returns (H, tape) with H of shape (b, K).
     """
-    if not views or views[0].shape[0] == 0:
+    cfg = params.cfg
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != cfg.input_dim:
+        raise ShapeError(f"expected (b, {cfg.input_dim}) feature rows, got shape {x.shape}")
+    if x.shape[0] == 0:
         raise ValueError("empty batch")
-    b = views[0].shape[0]
-    if any(v.shape[0] != b for v in views):
-        raise ShapeError("views disagree on batch size")
     if not 0.0 <= dropout_p < 1.0:
         raise ValueError(f"dropout_p must be in [0, 1), got {dropout_p}")
     dropout = train_mode and dropout_p > 0.0
     if dropout and rng is None:
         raise ValueError("train-mode dropout needs an rng (a numpy Generator)")
+    if view_mask is not None:  # a new array, so the caller's rows stay as they are
+        x = np.where(np.repeat(np.asarray(view_mask, dtype=bool), cfg.view_dims), x, 0.0)
 
-    raw = [np.asarray(v, dtype=np.float64) for v in views]
-    if view_mask is not None:
-        raw = [v if keep else np.zeros_like(v) for v, keep in zip(raw, view_mask)]
-
-    p = params.cfg.proj_dim
-    concat = np.empty((b, len(raw) * p))
-    for v, x in enumerate(raw):
-        normalize_view(x, params, v, out=concat[:, v * p:(v + 1) * p])
+    # per-view projections, side by side in concat
+    p = cfg.proj_dim
+    concat = np.empty((x.shape[0], cfg.fused_dim))
+    for v, cols in enumerate(cfg.view_columns):
+        z = x[:, cols] @ params.norm_w[v].T
+        z += params.norm_b[v]
+        np.tanh(z, out=concat[:, v * p:(v + 1) * p])
 
     mask, dropped = None, concat
     if dropout:
@@ -207,15 +188,19 @@ def forward_batch(
         mask = keep / (1.0 - dropout_p)
         dropped = concat * mask
 
+    # context gating, or the identity
+    gate, fused = None, dropped
     if use_gating:
-        fused, gate = context_gating(dropped, params)
-    else:
-        gate = np.ones_like(dropped)
-        fused = dropped
+        z = dropped @ params.fusion_w.T
+        z += params.fusion_b
+        gate = sigmoid(z)
+        fused = np.multiply(gate, dropped, out=z)
 
-    codes = hash_head(fused, params)
-    tape = BatchTape(raw, concat, mask, dropped, gate, fused, codes, gated=use_gating)
-    return codes, tape
+    # hash head
+    z = fused @ params.hash_w.T
+    z += params.hash_b
+    codes = np.tanh(z, out=z)
+    return codes, BatchTape(x, concat, mask, dropped, gate, fused, codes)
 
 
 def backward_batch(tape: BatchTape, params: ModelParams, dH: np.ndarray,
@@ -238,7 +223,7 @@ def backward_batch(tape: BatchTape, params: ModelParams, dH: np.ndarray,
 
     # gating: fused = gate * dropped, gate = sigmoid(dropped @ fusion_w.T + fusion_b).
     # Both the gate branch and the identity branch carry gradient.
-    if tape.gated:
+    if tape.gate is not None:
         d_gate = d_fused * tape.dropped
         d_dropped = d_fused * tape.gate
         dZ = d_gate * tape.gate * (1.0 - tape.gate)
@@ -254,11 +239,11 @@ def backward_batch(tape: BatchTape, params: ModelParams, dH: np.ndarray,
     dP = d_dropped if tape.mask is None else d_dropped * tape.mask
     dP *= 1.0 - tape.concat ** 2
 
-    proj = params.cfg.proj_dim
-    for v, x_raw in enumerate(tape.raw_views):
-        # contiguous, so a 1-wide block takes the same matmul path as a full one
-        dP_v = np.ascontiguousarray(dP[:, v * proj:(v + 1) * proj])
-        np.matmul(dP_v.T, x_raw, out=grads.norm_w[v])
+    p = params.cfg.proj_dim
+    for v, cols in enumerate(params.cfg.view_columns):
+        # contiguous copies, so a 1-wide block takes the same matmul path as a full one
+        dP_v = np.ascontiguousarray(dP[:, v * p:(v + 1) * p])
+        np.matmul(dP_v.T, np.ascontiguousarray(tape.x[:, cols]), out=grads.norm_w[v])
         np.add.reduce(dP_v, axis=0, out=grads.norm_b[v])
     return grads
 

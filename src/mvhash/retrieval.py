@@ -24,7 +24,7 @@ item means their multi-hot labels share at least one category.
 """
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -221,7 +221,6 @@ class EvalReport:
     map_at_k: list
     recall_at_k: list
     per_query_ap: list
-    config: dict = field(default_factory=dict)
 
 
 def _distances_and_relevance(index, q_words, q_labels, own):
@@ -244,7 +243,7 @@ def _distances_and_relevance(index, q_words, q_labels, own):
 
 
 def evaluate(query_codes, query_ids, query_labels, index: HammingIndex,
-             cutoffs=(), config=None) -> EvalReport:
+             cutoffs=()) -> EvalReport:
     """Full-ranking mAP plus mAP@K / Recall@K at each cutoff.
 
     A query present in the corpus (matching id) is excluded from its own
@@ -295,7 +294,6 @@ def evaluate(query_codes, query_ids, query_labels, index: HammingIndex,
         map_at_k=[float(x / nq) for x in ap_at.sum(axis=0)],
         recall_at_k=[float(x / nq) for x in rec_at.sum(axis=0)],
         per_query_ap=[float(a) for a in aps],
-        config=dict(config or {}),
     )
 
 

@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 ABLATIONS = ("full", "metric-only", "quant-only", "image-only", "text-only", "concat-only")
+_CHUNK = 512  # rows per forward pass in codes_for
 
 
 @dataclass(frozen=True)
@@ -123,15 +124,15 @@ class TrainResult:
     best_map: float
 
 
-def codes_for(split: Columns, params: ModelParams, view_mask=None, use_gating=True,
-              chunk: int = 512) -> np.ndarray:
+def codes_for(split: Columns, params: ModelParams, view_mask=None,
+              use_gating=True) -> np.ndarray:
     """Continuous codes in eval mode (dropout off), over row slices of the split."""
     out = np.empty((len(split), params.cfg.code_bits))
-    for start in range(0, len(split), chunk):
-        h, _ = forward_batch(stack_views(split, slice(start, start + chunk)), params,
+    for start in range(0, len(split), _CHUNK):
+        h, _ = forward_batch(stack_views(split, slice(start, start + _CHUNK)), params,
                              dropout_p=0.0, train_mode=False,
                              view_mask=view_mask, use_gating=use_gating)
-        out[start:start + chunk] = h
+        out[start:start + _CHUNK] = h
     return out
 
 
@@ -181,8 +182,8 @@ def train(dataset: DatasetSplit, cfg: TrainConfig) -> TrainResult:
         losses = []
         for bi, rows in enumerate(batches(dataset.train, cfg.batch_size,
                                           cfg.seed, epoch)):
-            views = stack_views(dataset.train, rows)
-            h, tape = forward_batch(views, params, dropout_p=cfg.dropout_p, train_mode=True,
+            x = stack_views(dataset.train, rows)
+            h, tape = forward_batch(x, params, dropout_p=cfg.dropout_p, train_mode=True,
                                     rng=rng, view_mask=view_mask, use_gating=use_gating)
             loss, dH = total_loss(h, stack_labels(dataset.train, rows), loss_cfg,
                                   metric_weight=metric_weight)

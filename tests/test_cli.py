@@ -270,6 +270,26 @@ class TestCheckpointMatchesDataset:
         err = self.one_line_error(capsys)
         assert str(checkpoint) in err and "text-only" in err
 
+    @pytest.mark.parametrize("command", ["eval", "search"])
+    @pytest.mark.parametrize("stored, ok", [
+        ({"seed": 13}, True), ({"bits": 8, "proj_dim": 4}, True),
+        ({"bits": 64}, False), ({"seed": 13, "proj_dim": 16}, False),
+    ], ids=["partial", "matching", "bits", "proj_dim"])
+    def test_stored_config_must_match_network(self, dataset_dir, tmp_path, capsys, command,
+                                              stored, ok):
+        # Keys a partial config leaves out are not compared.
+        net_cfg = NetConfig((6, 5), 4, 8)
+        checkpoint = tmp_path / "ckpt.bin"
+        save_checkpoint(checkpoint, init_params(net_cfg, 0), net_cfg, config=stored)
+        code = main([command, "--checkpoint", str(checkpoint), "--data", str(dataset_dir)])
+        if ok:
+            assert code == 0
+            return
+        assert code == 1
+        err = self.one_line_error(capsys)
+        key = next(k for k in stored if k != "seed")
+        assert str(checkpoint) in err and f"{key} {stored[key]}" in err
+
     def test_best_checkpoint_uses_stored_pipeline(self, dataset_dir, tmp_path, capsys):
         out = tmp_path / "run"
         assert main(["train", "--data", str(dataset_dir), "--out", str(out),

@@ -16,7 +16,6 @@ def tiny_split():
             [f"{prefix}{i}" for i in range(n)],
             rng.normal(size=(n, 7)),
             np.array([[1, 0] if i % 2 else [0, 1] for i in range(n)], dtype=np.int8),
-            (4, 3),
         )
     return DatasetSplit(
         train=cols("t", 3),
@@ -177,7 +176,7 @@ def test_round_trip_exact(tmp_path_factory, seed, counts, view_dims, categories,
         labels = (rng.random((n, categories)) < 0.4).astype(np.int8)
         labels[np.arange(n), rng.integers(categories, size=n)] = 1
         feats = rng.normal(scale=10.0 ** rng.integers(-3, 4), size=(n, sum(view_dims)))
-        parts.append(Columns(ids[at:at + n], feats, labels, view_dims))
+        parts.append(Columns(ids[at:at + n], feats, labels))
         at += n
     split = DatasetSplit(*parts, view_dims=view_dims, categories=categories)
     loaded = load_features(write_features(split, tmp_path_factory.mktemp("rt")))
@@ -275,7 +274,7 @@ class TestSynthetic:
 class TestBatches:
     def records(self, n):
         return Columns([str(i) for i in range(n)], np.zeros((n, 2)),
-                       np.ones((n, 1), dtype=np.int8), (2,))
+                       np.ones((n, 1), dtype=np.int8))
 
     def test_drops_short_tail(self):
         out = list(batches(self.records(10), 4, seed=0, epoch=0))
@@ -305,17 +304,24 @@ class TestBatches:
 
 def test_stack_views_shapes():
     split = tiny_split()
-    views = stack_views(split.train)
-    assert views[0].shape == (3, 4) and views[1].shape == (3, 3)
+    x = stack_views(split.train)
+    assert x.shape == (3, 7) and x is split.train.features
 
 
 @pytest.mark.parametrize("rows", [None, np.array([2, 0]), np.array([1])])
 def test_stack_views_c_contiguous(rows):
     split = tiny_split()
-    views = stack_views(split.train, rows)
+    x = stack_views(split.train, rows)
     picked = split.train.features[np.arange(3) if rows is None else rows]
-    assert all(v.flags.c_contiguous for v in views)
-    assert np.array_equal(np.concatenate(views, axis=1), picked)
+    assert x.flags.c_contiguous and x.dtype == np.float64
+    assert np.array_equal(x, picked)
+
+
+def test_stack_views_slice_is_a_view():
+    split = tiny_split()
+    x = stack_views(split.train, slice(1, 3))
+    assert x.shape == (2, 7) and np.shares_memory(x, split.train.features)
+    assert np.array_equal(x, split.train.features[1:3])
 
 
 def test_stack_labels_rows():

@@ -4,28 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mvhash.linalg import ShapeError, matmul, sigmoid
-
-
-def test_matmul_identity():
-    m = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(matmul(np.eye(2), m), m)
-
-
-def test_matmul_hand_expansion():
-    out = matmul([[1.0, 2.0], [3.0, 4.0]], [[5.0], [6.0]])
-    assert np.array_equal(out, [[17.0], [39.0]])
-
-
-def test_matmul_annihilator():
-    out = matmul(np.zeros((1, 3)), np.arange(12.0).reshape(3, 4))
-    assert out.shape == (1, 4)
-    assert np.all(out == 0.0)
-
-
-def test_matmul_shape_error():
-    with pytest.raises(ShapeError):
-        matmul(np.ones((2, 3)), np.ones((2, 3)))
+from mvhash.linalg import sigmoid
 
 
 def test_unary_examples():
@@ -40,17 +19,6 @@ def test_sigmoid_extreme_negative_is_finite():
 
 def test_sigmoid_extreme_positive_saturates():
     assert sigmoid([1000.0])[0] == 1.0
-
-
-def test_matmul_associativity():
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        a = rng.normal(size=(4, 3))
-        b = rng.normal(size=(3, 5))
-        c = rng.normal(size=(5, 2))
-        left = matmul(a, matmul(b, c))
-        right = matmul(matmul(a, b), c)
-        assert np.allclose(left, right, rtol=1e-9, atol=0)
 
 
 def test_sigmoid_symmetry():

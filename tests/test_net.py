@@ -3,8 +3,7 @@ import pytest
 
 from mvhash.gradcheck import run_gradcheck
 from mvhash.linalg import ShapeError
-from mvhash.net import (ModelParams, NetConfig, backward_batch, binarize, context_gating,
-                        forward_batch, hash_head, init_params, normalize_view)
+from mvhash.net import ModelParams, NetConfig, backward_batch, binarize, forward_batch, init_params
 
 
 def make_params(view_dims=(3, 4), proj=2, bits=3, seed=0):
@@ -15,126 +14,198 @@ def zero_params(cfg):
     return ModelParams(cfg)
 
 
+def naive_forward(x, params, view_mask=None, use_gating=True):
+    """Continuous codes record by record, each layer written out from the paper."""
+    cfg = params.cfg
+    codes = []
+    for row in x:
+        parts, start = [], 0
+        for v, d in enumerate(cfg.view_dims):
+            x_v = row[start:start + d] if view_mask is None or view_mask[v] else np.zeros(d)
+            parts.append(np.tanh(params.norm_w[v] @ x_v + params.norm_b[v]))
+            start += d
+        t = np.concatenate(parts)
+        if use_gating:
+            t = t / (1.0 + np.exp(-(params.fusion_w @ t + params.fusion_b)))
+        codes.append(np.tanh(params.hash_w @ t + params.hash_b))
+    return np.array(codes)
+
+
+class TestNetConfig:
+    @pytest.mark.parametrize("view_dims, proj, bits", [
+        ((32.9, 32), 4, 8), ((True, 3), 4, 8), ((3,), 2.5, 8), ((3,), 4, 8.0), ((3,), "4", 8),
+        ((3, 0), 4, 8), ((3,), -1, 8), ((3,), 4, 0),
+    ])
+    def test_dims_must_be_exact_positive_integers(self, view_dims, proj, bits):
+        with pytest.raises(ValueError, match="expected a positive integer"):
+            NetConfig(view_dims, proj, bits)
+
+    def test_needs_a_view(self):
+        with pytest.raises(ValueError, match="at least one view"):
+            NetConfig((), 4, 8)
+
+    def test_view_columns_tile_the_input(self):
+        cfg = NetConfig((1, 5, 1), 2, 3)
+        assert cfg.input_dim == 7 and type(cfg.num_params) is int
+        assert cfg.view_columns == (slice(0, 1), slice(1, 6), slice(6, 7))
+
+
 class TestNormalizeView:
+    """The per-view projection, read from the tape's concat block."""
+
     def test_zero_weights_give_zero(self):
         cfg, _ = make_params()
-        p = zero_params(cfg)
-        out = normalize_view(np.array([1.0, -2.0, 3.0]), p, 0)
-        assert np.all(out == 0.0)
+        _, tape = forward_batch(np.array([[1.0, -2.0, 3.0, 4.0, 5.0, 6.0, 7.0]]),
+                                zero_params(cfg))
+        assert tape.concat.shape == (1, cfg.fused_dim)
+        assert np.all(tape.concat == 0.0)
 
     def test_identity_scalar(self):
         cfg = NetConfig((1,), 1, 1)
         p = zero_params(cfg)
         p.norm_w[0][0, 0] = 1.0
-        out = normalize_view(np.array([0.5]), p, 0)
-        assert out[0] == pytest.approx(np.tanh(0.5), abs=1e-12)
-        assert out[0] == pytest.approx(0.46212, abs=1e-5)
+        _, tape = forward_batch(np.array([[0.5]]), p)
+        assert tape.concat[0, 0] == pytest.approx(np.tanh(0.5), abs=1e-12)
+        assert tape.concat[0, 0] == pytest.approx(0.46212, abs=1e-5)
 
     def test_output_strictly_bounded(self):
         cfg, p = make_params()
-        out = normalize_view(np.full(3, 1e6), p, 0)
-        assert np.all(np.abs(out) <= 1.0)
+        _, tape = forward_batch(np.full((2, cfg.input_dim), 1e6), p)
+        assert np.all(np.abs(tape.concat) <= 1.0)
 
     def test_dim_mismatch(self):
         cfg, p = make_params()
         with pytest.raises(ShapeError):
-            normalize_view(np.zeros(5), p, 0)
+            forward_batch(np.zeros((1, 5)), p)
 
 
 class TestContextGating:
+    """The gate and the fused features, read from the tape."""
+
     def test_zero_params_halve_input(self):
-        cfg, _ = make_params(view_dims=(2,), proj=2)
+        cfg = NetConfig((2,), 2, 1)
         p = zero_params(cfg)
-        x = np.array([1.0, -2.0])
-        fused, gate = context_gating(x, p)
-        assert np.allclose(gate, 0.5)
-        assert np.allclose(fused, [0.5, -1.0])
+        p.norm_w[0][...] = np.eye(2)
+        _, tape = forward_batch(np.array([[1.0, -2.0]]), p)
+        assert np.allclose(tape.gate, 0.5)
+        assert np.allclose(tape.fused, 0.5 * np.tanh([[1.0, -2.0]]))
 
     def test_saturated_gate_passes_input(self):
-        cfg, _ = make_params(view_dims=(2,), proj=2)
+        cfg = NetConfig((2,), 2, 1)
         p = zero_params(cfg)
+        p.norm_w[0][...] = np.eye(2)
         p.fusion_b[:] = 40.0
-        x = np.array([3.0, -1.5])
-        fused, gate = context_gating(x, p)
-        assert np.allclose(fused, x, atol=1e-12)
+        _, tape = forward_batch(np.array([[3.0, -1.5]]), p)
+        assert np.allclose(tape.fused, tape.concat, atol=1e-12)
 
     def test_gate_strictly_in_unit_interval(self):
         cfg, p = make_params()
         rng = np.random.default_rng(1)
-        _, gate = context_gating(rng.normal(size=cfg.fused_dim), p)
-        assert np.all(gate > 0.0) and np.all(gate < 1.0)
+        _, tape = forward_batch(rng.normal(size=(5, cfg.input_dim)), p)
+        assert np.all(tape.gate > 0.0) and np.all(tape.gate < 1.0)
+
+    def test_gating_off_fuses_by_identity(self):
+        cfg, p = make_params()
+        _, tape = forward_batch(np.ones((3, cfg.input_dim)), p, use_gating=False)
+        assert tape.gate is None and tape.fused is tape.concat
 
 
 class TestHashHead:
+    """The last layer, read from the codes against the tape's fused block."""
+
     def test_zero_weights(self):
         cfg, _ = make_params()
-        p = zero_params(cfg)
-        assert np.all(hash_head(np.ones(cfg.fused_dim), p) == 0.0)
+        h, _ = forward_batch(np.ones((2, cfg.input_dim)), zero_params(cfg))
+        assert np.all(h == 0.0)
 
     def test_single_unit_row(self):
-        cfg, _ = make_params(view_dims=(2,), proj=2, bits=1)
+        cfg = NetConfig((2,), 2, 1)
         p = zero_params(cfg)
+        p.norm_b[0][:] = [0.5, 0.9]  # fused = tanh(norm_b) without gating
         p.hash_w[0, 0] = 1.0
-        out = hash_head(np.array([3.0, 9.9]), p)
-        assert out[0] == pytest.approx(np.tanh(3.0), abs=1e-12)
-        assert out[0] == pytest.approx(0.99505, abs=1e-5)
+        h, tape = forward_batch(np.zeros((1, 2)), p, use_gating=False)
+        assert h[0, 0] == pytest.approx(np.tanh(tape.fused[0, 0]), abs=1e-12)
+        assert h[0, 0] == pytest.approx(0.43181, abs=1e-5)
 
     def test_output_length_is_code_bits(self):
         cfg, p = make_params(bits=5)
-        assert hash_head(np.zeros(cfg.fused_dim), p).shape == (5,)
+        h, tape = forward_batch(np.zeros((3, cfg.input_dim)), p)
+        assert h.shape == (3, 5) and tape.codes is h
 
 
 class TestForwardBatch:
     def setup_method(self):
         self.cfg, self.params = make_params()
-        rng = np.random.default_rng(3)
-        self.views = [rng.normal(size=(4, d)) for d in self.cfg.view_dims]
+        self.x = np.random.default_rng(3).normal(size=(4, self.cfg.input_dim))
 
     def test_no_dropout_train_equals_eval(self):
-        h_train, _ = forward_batch(self.views, self.params, dropout_p=0.0,
+        h_train, _ = forward_batch(self.x, self.params, dropout_p=0.0,
                                    train_mode=True, rng=np.random.default_rng(1))
-        h_eval, _ = forward_batch(self.views, self.params, train_mode=False)
+        h_eval, _ = forward_batch(self.x, self.params, train_mode=False)
         assert np.array_equal(h_train, h_eval)
 
     def test_single_record_matches_composition(self):
-        one = [v[:1] for v in self.views]
-        h, _ = forward_batch(one, self.params)
-        normed = np.concatenate([normalize_view(v[0], self.params, i)
-                                 for i, v in enumerate(one)])
-        fused, _ = context_gating(normed, self.params)
-        assert np.allclose(h[0], hash_head(fused, self.params), atol=1e-12)
+        h, _ = forward_batch(self.x[:1], self.params)
+        assert np.allclose(h, naive_forward(self.x[:1], self.params), atol=1e-12)
+
+    @pytest.mark.parametrize("view_dims, view_mask, use_gating", [
+        ((3, 4), None, True),
+        ((3, 4), [True, False], True),
+        ((3, 4), [False, True], True),
+        ((3, 4), None, False),
+        ((1, 5, 1), None, True),
+        ((1, 5, 1), [False, True, False], False),
+        ((1, 5, 1), [True, False, True], True),
+    ])
+    def test_matches_naive_reference(self, view_dims, view_mask, use_gating):
+        cfg, params = make_params(view_dims, proj=3, bits=4, seed=2)
+        x = np.random.default_rng(8).normal(size=(6, cfg.input_dim))
+        before = x.copy()
+        h, tape = forward_batch(x, params, view_mask=view_mask, use_gating=use_gating)
+        assert np.allclose(h, naive_forward(x, params, view_mask, use_gating), atol=1e-12)
+        assert np.array_equal(x, before)  # masking never writes into the caller's rows
+        if view_mask is not None:
+            for keep, cols in zip(view_mask, cfg.view_columns):  # a blanked view reads +0.0
+                assert np.array_equal(tape.x[:, cols], np.where(keep, x[:, cols], 0.0))
+                assert keep or not np.signbit(tape.x[:, cols]).any()
+
+    def test_slice_of_rows_is_read_in_place(self):
+        block = np.random.default_rng(4).normal(size=(9, self.cfg.input_dim))
+        h, tape = forward_batch(block[2:6], self.params)
+        assert np.shares_memory(tape.x, block)
+        assert np.array_equal(h, forward_batch(block[2:6].copy(), self.params)[0])
 
     def test_dropout_deterministic_under_seed(self):
-        a, _ = forward_batch(self.views, self.params, dropout_p=0.1,
+        a, _ = forward_batch(self.x, self.params, dropout_p=0.1,
                              train_mode=True, rng=np.random.default_rng(7))
-        b, _ = forward_batch(self.views, self.params, dropout_p=0.1,
+        b, _ = forward_batch(self.x, self.params, dropout_p=0.1,
                              train_mode=True, rng=np.random.default_rng(7))
         assert np.array_equal(a, b)
 
     def test_train_mode_dropout_needs_rng(self):
         with pytest.raises(ValueError, match="rng"):
-            forward_batch(self.views, self.params, dropout_p=0.1, train_mode=True)
-        forward_batch(self.views, self.params, dropout_p=0.1, train_mode=False)
+            forward_batch(self.x, self.params, dropout_p=0.1, train_mode=True)
+        forward_batch(self.x, self.params, dropout_p=0.1, train_mode=False)
 
     def test_dropout_continues_one_stream(self):
         rng, replay = np.random.default_rng(4), np.random.default_rng(4)
         for _ in range(3):
-            _, tape = forward_batch(self.views, self.params, dropout_p=0.5,
+            _, tape = forward_batch(self.x, self.params, dropout_p=0.5,
                                     train_mode=True, rng=rng)
             keep = replay.random(tape.mask.shape) >= 0.5
             assert np.array_equal(tape.mask, keep / 0.5)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
-            forward_batch([np.zeros((0, 3)), np.zeros((0, 4))], self.params)
+            forward_batch(np.zeros((0, self.cfg.input_dim)), self.params)
 
     def test_codes_strictly_bounded(self):
-        h, _ = forward_batch(self.views, self.params)
+        h, _ = forward_batch(self.x, self.params)
         assert np.all(np.abs(h) < 1.0)
 
     def test_dropout_mask_mean(self):
         _, tape = forward_batch(
-            [np.ones((200, d)) for d in self.cfg.view_dims], self.params,
+            np.ones((200, self.cfg.input_dim)), self.params,
             dropout_p=0.1, train_mode=True, rng=np.random.default_rng(11))
         # 200 rows x fused_dim columns >= 1e5 draws would need a bigger batch;
         # draw masks directly at the same scale instead
@@ -147,9 +218,8 @@ class TestForwardBatch:
 class TestBackwardBatch:
     def test_zero_upstream_gives_zero_grads(self):
         cfg, params = make_params()
-        rng = np.random.default_rng(5)
-        views = [rng.normal(size=(3, d)) for d in cfg.view_dims]
-        h, tape = forward_batch(views, params)
+        x = np.random.default_rng(5).normal(size=(3, cfg.input_dim))
+        h, tape = forward_batch(x, params)
         grads = backward_batch(tape, params, np.zeros_like(h))
         for _, g in grads.tensors():
             assert np.all(g == 0.0)
@@ -179,7 +249,7 @@ class TestBackwardBatch:
         dp = dt * (1 - t * t)
         dw0, db0 = dp * x, dp
 
-        _, tape = forward_batch([np.array([[x]])], params)
+        _, tape = forward_batch(np.array([[x]]), params)
         grads = backward_batch(tape, params, np.array([[d]]))
         assert grads.hash_w[0, 0] == pytest.approx(dw2, rel=1e-12)
         assert grads.hash_b[0] == pytest.approx(db2, rel=1e-12)
@@ -190,9 +260,8 @@ class TestBackwardBatch:
 
     def test_shape_mismatch(self):
         cfg, params = make_params()
-        rng = np.random.default_rng(5)
-        views = [rng.normal(size=(3, d)) for d in cfg.view_dims]
-        _, tape = forward_batch(views, params)
+        x = np.random.default_rng(5).normal(size=(3, cfg.input_dim))
+        _, tape = forward_batch(x, params)
         with pytest.raises(ShapeError):
             backward_batch(tape, params, np.zeros((3, 99)))
 
@@ -200,6 +269,38 @@ class TestBackwardBatch:
         result = run_gradcheck(seed=3, cases=5)
         assert result.failures == 0
         assert result.max_rel_err < 1e-4
+
+    @pytest.mark.parametrize("view_dims, view_mask, use_gating", [
+        ((3, 4), None, False),
+        ((3, 4), [True, False], True),
+        ((3, 4), [False, True], False),
+        ((1, 5, 1), [False, True, True], True),
+    ], ids=["concat-only", "image-only", "text-only-concat", "one-wide-masked"])
+    def test_finite_difference_of_ablation(self, view_dims, view_mask, use_gating):
+        # L = sum(c * H), so dL/dH = c; every parameter checked by central differences
+        cfg, params = make_params(view_dims, proj=2, bits=3, seed=4)
+        rng = np.random.default_rng(6)
+        x, c = rng.normal(size=(5, cfg.input_dim)), rng.normal(size=(5, cfg.code_bits))
+        kw = {"view_mask": view_mask, "use_gating": use_gating}
+
+        def loss():
+            return float((forward_batch(x, params, **kw)[0] * c).sum())
+
+        _, tape = forward_batch(x, params, **kw)
+        grads = backward_batch(tape, params, c)
+        fd, step = np.empty_like(params.buf), 1e-6
+        for i, orig in enumerate(params.buf.copy()):
+            params.buf[i] = orig + step
+            up = loss()
+            params.buf[i] = orig - step
+            fd[i] = (up - loss()) / (2 * step)
+            params.buf[i] = orig
+        assert np.allclose(grads.buf, fd, rtol=1e-6, atol=1e-8)
+        if not use_gating:
+            assert np.all(grads.fusion_w == 0.0) and np.all(grads.fusion_b == 0.0)
+        for v, keep in enumerate(view_mask or ()):
+            if not keep:  # a blanked view's weights see only zero inputs
+                assert np.all(grads.norm_w[v] == 0.0)
 
 
 class TestBinarize:

@@ -248,6 +248,17 @@ class TestCheckpointValidation:
         rewrite_header(path, edit)
         assert_one_line_error(path)
 
+    @pytest.mark.parametrize("key, value", [
+        ("view_dims", [3.9, 2]), ("view_dims", [3, True]), ("proj_dim", 2.0), ("code_bits", 3.0),
+    ])
+    def test_non_integer_net_dims_named(self, tmp_path, key, value):
+        # int() would accept each of these: 3.9 truncates to 3, True and 2.0 compare equal
+        net_cfg = NetConfig((3, 2), 2, 3)
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, init_params(net_cfg, 0), net_cfg)
+        rewrite_header(path, lambda h: h["net"].update({key: value}))
+        assert key in assert_one_line_error(path)
+
     def test_malformed_header_named(self, tmp_path):
         net_cfg = NetConfig((3,), 2, 3)
         path = tmp_path / "ckpt.bin"
