@@ -15,8 +15,8 @@ from .data import SPLITS, SynthConfig, generate_synthetic, load_features, write_
 from .gradcheck import REL_TOL, run_gradcheck
 from .net import binarize
 from .retrieval import build_index, evaluate, format_summary, pack_code, search, write_report_csv
-from .trainer import (TrainConfig, codes_for, export_curves, load_checkpoint,
-                      save_checkpoint, train)
+from .trainer import (ABLATIONS, LR_SCHEDULES, TrainConfig, codes_for, export_curves,
+                      load_checkpoint, save_checkpoint, train)
 
 
 def _parse_dims(text, flag):
@@ -74,11 +74,9 @@ def _add_train_flags(p):
     p.add_argument("--seed", type=int, help="RNG seed (default 0)")
     p.add_argument("--eval-every", dest="eval_every", type=int,
                    help="epochs between test-mAP evaluations (default 20)")
-    p.add_argument("--ablation", choices=["full", "metric-only", "quant-only",
-                                          "image-only", "text-only", "concat-only"],
-                   help="pipeline variant (default full)")
-    p.add_argument("--lr-schedule", dest="lr_schedule",
-                   choices=["constant", "cosine"], help="lr schedule (default constant)")
+    p.add_argument("--ablation", choices=ABLATIONS, help="pipeline variant (default full)")
+    p.add_argument("--lr-schedule", dest="lr_schedule", choices=LR_SCHEDULES,
+                   help="lr schedule (default constant)")
 
 
 def cmd_synth(args) -> int:

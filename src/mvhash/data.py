@@ -3,8 +3,8 @@
 Datasets live on disk as a JSON manifest plus, per split, a raw
 little-endian float32 tensor file (one row per record, views concatenated
 in order) and a CSV sidecar with the record id and its multi-hot label as
-a bitstring. In memory a split is columnar: the ids, one (N, D) float64
-feature matrix (the file's rows widened) and one (N, C) int8 label matrix.
+a bitstring. In memory a split is columnar: the ids, one (N, D) feature matrix
+(float32 as loaded; the network widens each batch) and one (N, C) int8 label matrix.
 """
 
 import csv
@@ -29,7 +29,6 @@ __all__ = [
 
 MANIFEST_NAME = "manifest.json"
 SPLITS = ("train", "retrieval", "query")
-_LOAD_ROWS = 4096  # rows per block when widening a feature file
 
 
 class DatasetError(ValueError):
@@ -41,7 +40,7 @@ class Columns:
     """One split: row i is record ids[i], features[i] and labels[i]."""
 
     ids: list
-    features: np.ndarray  # (N, D) float64, views concatenated in order
+    features: np.ndarray  # (N, D), views concatenated in order; float32 as loaded
     labels: np.ndarray  # (N, C) int8 multi-hot
 
     def __len__(self) -> int:
@@ -174,27 +173,45 @@ def load_features(manifest_path, read=SPLITS) -> DatasetSplit:
     except json.JSONDecodeError as e:
         raise DatasetError(f"manifest {path} is not valid JSON: {e}") from e
 
-    def require(table, key, where=""):
+    def require(table, key, where="", problem=lambda value: None):
+        """table[key]; a DatasetError naming the key if absent or if problem(value)."""
         if not isinstance(table, dict) or key not in table:
             raise DatasetError(f"manifest {path}: missing key '{where}{key}'")
+        if bad := problem(table[key]):
+            raise DatasetError(f"manifest {path}: {where}{key} {bad} ({table[key]!r})")
         return table[key]
 
-    view_dims = tuple(int(d) for d in require(manifest, "view_dims"))
-    categories = int(require(manifest, "categories"))
+    # exact types, so a bool, a float or a numeric string never passes
+    def positive(v):
+        return None if type(v) is int and v > 0 else "is not a positive integer"
+
+    def dims(v):
+        ok = type(v) is list and v and not any(map(positive, v))
+        return None if ok else "is not a non-empty list of positive integers"
+
+    def non_negative(v):
+        if type(v) is not int:
+            return "is not an integer"
+        return "is negative" if v < 0 else None
+
+    def file_name(v):  # no directory part, so the file lies in the dataset directory
+        ok = type(v) is str and Path(v).name == v and v != ".."
+        return None if ok else "is not a file name inside the dataset directory"
+
+    view_dims = tuple(require(manifest, "view_dims", problem=dims))
+    categories = require(manifest, "categories", problem=positive)
     split_table = require(manifest, "splits")
     total_dim = sum(view_dims)
     base = path.parent
 
     splits, counts = {}, []
     for name in SPLITS:
-        entry = require(split_table, name, "splits.")
-        feat_path = base / require(entry, "features", f"splits.{name}.")
-        rec_path = base / require(entry, "records", f"splits.{name}.")
-        count = int(require(entry, "count", f"splits.{name}."))
-        if count < 0:
-            raise DatasetError(f"manifest {path}: splits.{name}.count is negative ({count})")
+        entry, where = require(split_table, name, "splits."), f"splits.{name}."
+        feat_path = base / require(entry, "features", where, file_name)
+        rec_path = base / require(entry, "records", where, file_name)
+        count = require(entry, "count", where, non_negative)
         for p in (feat_path, rec_path):
-            if not p.exists():
+            if not p.is_file():
                 raise DatasetError(f"split {name!r}: missing file {p}")
 
         size = feat_path.stat().st_size
@@ -206,10 +223,7 @@ def load_features(manifest_path, read=SPLITS) -> DatasetSplit:
             splits[name] = None
             continue
         ids, labels = _read_records(name, rec_path, count, categories)
-        feats = np.empty((count, total_dim))
-        with open(feat_path, "rb") as fh:  # widened a block at a time, never all as float32
-            for block in np.split(feats, range(_LOAD_ROWS, count, _LOAD_ROWS)):
-                block[...] = np.fromfile(fh, "<f4", count=block.size).reshape(block.shape)
+        feats = np.fromfile(feat_path, "<f4").reshape(count, total_dim)
         _reject(name, ids, ~np.isfinite(feats).all(axis=1), lambda i: "non-finite feature values")
         splits[name] = Columns(ids, feats, labels)
 

@@ -10,12 +10,12 @@ to uint64 words:
   gives its distances to every item, ranked by a stable sort on those
   small integers, and each query's AP comes from one prefix sum over its
   relevant ranks.
-- per distinct code: each of the U distinct codes once, in order of its
-  first row, with the rows grouped by code. search() scans only these U
-  codes and finds the top k from the k-th smallest code distance, without
-  a pass over the rows. Trained codes repeat heavily (the benchmark's 50k
-  corpus holds 8,624 distinct codes), so this scan is several times
-  shorter; with all codes distinct it costs about 15% more.
+- per distinct code, built by the first search(): each of the U distinct codes
+  once, in order of its first row, with the rows grouped by code. search()
+  scans only these U codes and finds the top k from the k-th smallest code
+  distance, without a pass over the rows. Trained codes repeat heavily (the
+  benchmark's 50k corpus holds 8,624 distinct codes), so this scan is several
+  times shorter; with all codes distinct it costs about 15% more.
 
 With 50k items and K = 64, evaluate() takes about 0.46 ms per query
 (5-query calls) and search() about 0.09 ms, medians of ten benchmark runs
@@ -25,6 +25,7 @@ item means their multi-hot labels share at least one category.
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -117,23 +118,28 @@ class HammingIndex:
     labels: np.ndarray  # (ceil(C / 8), N) uint8 packed multi-hot labels, one row per byte
     categories: int  # C
     position: dict  # id -> row
-    distinct: np.ndarray  # (ceil(K / 64), U) uint64, each distinct code once, by first row
-    members: np.ndarray  # (N,) rows grouped by distinct code, ascending within a code
-    starts: np.ndarray  # (U + 1,) code u's rows are members[starts[u]:starts[u + 1]]
+
+    @cached_property
+    def grouping(self) -> tuple:
+        """(distinct, members, starts) of _group, built by the first search() and kept."""
+        return _group(self.words)
+
+    distinct = property(lambda self: self.grouping[0])
+    members = property(lambda self: self.grouping[1])
+    starts = property(lambda self: self.grouping[2])
 
 
-def _group(rows):
-    """Distinct rows of a (N, W) array in order of first occurrence: their
-    first row numbers, and the (members, starts) grouping of N rows by them."""
-    flat = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+def _group(words):
+    """(distinct, members, starts) of word-major codes (W, N): distinct (W, U) holds
+    each distinct code once, in order of its first row, and code u's rows, ascending,
+    are members[starts[u]:starts[u + 1]]."""
+    flat = words.T.copy().view(np.dtype((np.void, words.itemsize * len(words)))).ravel()
     _, first, inverse = np.unique(flat, return_index=True, return_inverse=True)
     by_first = np.argsort(first)
-    rank = np.empty_like(by_first)
-    rank[by_first] = np.arange(by_first.size)
-    code = rank[inverse]
+    code = np.argsort(by_first)[inverse]  # each row's code number, in first-row order
     starts = np.zeros(by_first.size + 1, dtype=np.intp)
     np.cumsum(np.bincount(code, minlength=by_first.size), out=starts[1:])
-    return first[by_first], np.argsort(code, kind="stable"), starts
+    return words.take(first[by_first], axis=1), np.argsort(code, kind="stable"), starts
 
 
 def build_index(codes, ids, labels) -> HammingIndex:
@@ -148,12 +154,10 @@ def build_index(codes, ids, labels) -> HammingIndex:
     if len(position) != len(ids):
         raise ValueError("index ids must be unique")
     words = _padded(np.packbits(codes > 0, axis=1), np.uint64)
-    first, members, starts = _group(words)
     packed_labels = _padded(np.packbits(labels > 0, axis=1), np.uint8)
     return HammingIndex(k=codes.shape[1], words=words.T.copy(), ids=list(ids),
                         labels=packed_labels.T.copy(), categories=labels.shape[1],
-                        position=position, distinct=words[first].T.copy(),
-                        members=members, starts=starts)
+                        position=position)
 
 
 def search(index: HammingIndex, query: HashCode, k: int):
@@ -173,8 +177,9 @@ def search(index: HammingIndex, query: HashCode, k: int):
         raise ValueError("k must be >= 1")
     if query.k != index.k:
         raise ShapeError(f"query has {query.k} bits, index stores {index.k}")
-    dist = _scan(index.distinct, _padded(np.frombuffer(query.words, dtype=np.uint8)[None],
-                                         np.uint64), index.k)[0]
+    distinct, members, starts = index.grouping
+    dist = _scan(distinct, _padded(np.frombuffer(query.words, dtype=np.uint8)[None],
+                                   np.uint64), index.k)[0]
     c = min(k, dist.size)
     t = int(dist.min())
     while np.count_nonzero(within := dist <= t) < c:
@@ -184,10 +189,10 @@ def search(index: HammingIndex, query: HashCode, k: int):
     below = near.size - np.count_nonzero(at_t)
     near = near[~at_t | (np.cumsum(at_t) <= c - below)]  # every code below t, c - below at t
     # the first min(size, k) rows of each near code, keyed by (distance, row)
-    lo = index.starts[near]
-    take = np.minimum(index.starts[near + 1] - lo, k)
+    lo = starts[near]
+    take = np.minimum(starts[near + 1] - lo, k)
     ends = np.cumsum(take)
-    rows = index.members[np.repeat(lo - ends + take, take) + np.arange(ends[-1])]
+    rows = members[np.repeat(lo - ends + take, take) + np.arange(ends[-1])]
     n = len(index.ids)
     key = np.repeat(dist[near].astype(np.intp) * n, take) + rows
     return [index.ids[i] for i in (np.sort(key)[:k] % n).tolist()]

@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 ABLATIONS = ("full", "metric-only", "quant-only", "image-only", "text-only", "concat-only")
+LR_SCHEDULES = ("constant", "cosine")
 _CHUNK = 512  # rows per forward pass in codes_for
 
 
@@ -58,7 +59,7 @@ class TrainConfig:
     seed: int = 0
     eval_every: int = 20
     ablation: str = "full"
-    lr_schedule: str = "constant"  # or "cosine"
+    lr_schedule: str = "constant"  # one of LR_SCHEDULES
 
     def __post_init__(self):
         for f in fields(self):  # exact types, so a bool or a string never passes
@@ -69,7 +70,7 @@ class TrainConfig:
                 raise ValueError(f"{f.name} must be a finite number, got {value!r}")
         if self.ablation not in ABLATIONS:
             raise ValueError(f"unknown ablation {self.ablation!r}; pick one of {ABLATIONS}")
-        if self.lr_schedule not in ("constant", "cosine"):
+        if self.lr_schedule not in LR_SCHEDULES:
             raise ValueError(f"unknown lr schedule {self.lr_schedule!r}")
         for name, ok, rule in (
             ("epochs", self.epochs >= 0, ">= 0"),

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import mvhash.data
+import mvhash.retrieval
 from mvhash.cli import main
 from mvhash.data import load_features, stack_labels
 from mvhash.net import NetConfig, binarize, init_params
@@ -172,6 +173,38 @@ class TestSplitsRead:
         assert main([command, "--checkpoint", str(run_dir / "checkpoint.bin"),
                      "--data", str(dataset_dir)]) == 0
         assert parsed == ["train", "retrieval", "query"]
+
+
+class TestGroupingBuiltBySearch:
+    """Only search() reads the distinct-code grouping, so nothing else builds it."""
+
+    @pytest.fixture
+    def grouped(self, monkeypatch):
+        calls, group = [], mvhash.retrieval._group
+
+        def spy(words):
+            calls.append(words.shape)
+            return group(words)
+        monkeypatch.setattr(mvhash.retrieval, "_group", spy)
+        return calls
+
+    def test_eval_never_groups(self, dataset_dir, run_dir, grouped, capsys):
+        assert main(["eval", "--checkpoint", str(run_dir / "checkpoint.bin"),
+                     "--data", str(dataset_dir), "--cutoffs", "5"]) == 0
+        assert grouped == []
+
+    def test_train_with_periodic_eval_never_groups(self, dataset_dir, tmp_path, grouped,
+                                                    capsys):
+        assert main(["train", "--data", str(dataset_dir), "--out", str(tmp_path),
+                     "--epochs", "2", "--batch-size", "8", "--bits", "8", "--proj-dim", "4",
+                     "--eval-every", "1"]) == 0
+        assert grouped == []
+
+    def test_search_groups_once(self, dataset_dir, run_dir, grouped, capsys):
+        assert main(["search", "--checkpoint", str(run_dir / "checkpoint.bin"),
+                     "--data", str(dataset_dir), "-k", "3"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 10  # one search per query
+        assert len(grouped) == 1
 
 
 class TestEval:

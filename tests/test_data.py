@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -184,7 +185,7 @@ def test_round_trip_exact(tmp_path_factory, seed, counts, view_dims, categories,
     for orig, back in zip(parts, (loaded.train, loaded.retrieval, loaded.query)):
         assert back.ids == orig.ids
         assert back.labels.dtype == np.int8 and np.array_equal(back.labels, orig.labels)
-        assert back.features.dtype == np.float64
+        assert back.features.dtype == np.float32  # as stored; the network widens its rows
         assert np.array_equal(back.features, orig.features.astype(np.float32))
 
 
@@ -218,6 +219,38 @@ class TestManifestErrors:
         manifest = edit_manifest(tmp_path, edit)
         with pytest.raises(DatasetError, match="splits.query.count is negative"):
             load_features(manifest)
+
+    @pytest.mark.parametrize("key, value", [
+        ("categories", "3"),
+        ("categories", True),
+        ("splits.query.count", "10"),
+        ("splits.query.count", True),
+        ("view_dims", "abc"),
+        ("view_dims", [4.5, 4.5]),
+        ("view_dims", []),
+        ("view_dims", [-1, 10]),
+        ("view_dims", [4, True]),
+        ("splits.query.features", 5),
+        ("splits.query.features", "../other/query.f32"),
+    ])
+    def test_value_rejected_by_exact_type(self, tmp_path, key, value):
+        # 3 categories, (4, 4) views and 10 query records: "3", "10" and a
+        # truncated [4.5, 4.5] would each read as the right value
+        cfg = SynthConfig(categories=3, view_dims=(4, 4), train_size=4, retrieval_size=4,
+                          query_size=10)
+        manifest = write_features(generate_synthetic(cfg), tmp_path / "data")
+        (tmp_path / "other").mkdir()  # a readable file outside the dataset directory
+        shutil.copy(tmp_path / "data" / "query.f32", tmp_path / "other" / "query.f32")
+        table = entry = json.loads(manifest.read_text())
+        *parents, last = key.split(".")
+        for part in parents:
+            entry = entry[part]
+        entry[last] = value
+        manifest.write_text(json.dumps(table))
+        with pytest.raises(DatasetError) as info:
+            load_features(manifest)
+        message = str(info.value)
+        assert str(manifest) in message and key in message and "\n" not in message
 
 
 class TestSynthetic:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import struct
 import tempfile
@@ -9,10 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvhash.data import SynthConfig, generate_synthetic
+from mvhash.data import SynthConfig, generate_synthetic, load_features, write_features
 from mvhash.net import NetConfig, init_params
 from mvhash.optim import init_optim
-from mvhash.trainer import (Checkpoint, EpochRecord, TrainConfig, dropout_stream,
+from mvhash.trainer import (Checkpoint, EpochRecord, TrainConfig, codes_for, dropout_stream,
                             export_curves, load_checkpoint, save_checkpoint, train)
 
 
@@ -110,6 +111,46 @@ class TestDropoutStream:
         others = [seed] + [(seed, epoch) for epoch in range(4)]
         for other in others:
             assert not np.array_equal(draws, np.random.default_rng(other).random(8))
+
+
+class TestFloat32Features:
+    """A loaded split keeps the file's float32 and forward_batch widens the rows
+    it reads: every result is bit-identical to the same rows given as float64."""
+
+    @pytest.fixture(scope="class")
+    def splits(self, tmp_path_factory):
+        # 1-wide views take another matmul path; 600 rows span two codes_for chunks
+        cfg = SynthConfig(categories=3, views=3, view_dims=(1, 5, 1), train_size=40,
+                          retrieval_size=600, query_size=10, seed=4)
+        loaded = load_features(write_features(generate_synthetic(cfg),
+                                              tmp_path_factory.mktemp("f32")))
+        def widen(cols):
+            return dataclasses.replace(cols, features=cols.features.astype(np.float64))
+        widened = dataclasses.replace(loaded, train=widen(loaded.train),
+                                      retrieval=widen(loaded.retrieval), query=widen(loaded.query))
+        assert loaded.train.features.dtype == np.float32
+        assert widened.train.features.dtype == np.float64
+        return loaded, widened
+
+    @pytest.mark.parametrize("ablation", ["full", "image-only", "concat-only"])
+    def test_codes_for(self, splits, ablation):
+        _, _, view_mask, use_gating = TrainConfig(ablation=ablation).pipeline(3)
+        params = init_params(NetConfig((1, 5, 1), 1, 8), seed=3)
+        loaded, widened = (codes_for(s.retrieval, params, view_mask, use_gating)
+                           for s in splits)
+        assert loaded.tobytes() == widened.tobytes()
+
+    @pytest.mark.parametrize("ablation", ["full", "image-only"])
+    def test_train(self, splits, ablation):
+        cfg = TrainConfig(epochs=2, bits=4, proj_dim=1, batch_size=8, eval_every=1,
+                          ablation=ablation, seed=2)
+        loaded, widened = (train(s, cfg) for s in splits)
+        for a, b in ((loaded.params.buf, widened.params.buf),
+                     (loaded.optim_state.m, widened.optim_state.m),
+                     (loaded.optim_state.v, widened.optim_state.v)):
+            assert a.tobytes() == b.tobytes()
+        assert ([(r.loss, r.test_map) for r in loaded.records]
+                == [(r.loss, r.test_map) for r in widened.records])
 
 
 class TestPipelineMapping:
