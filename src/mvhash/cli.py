@@ -15,8 +15,8 @@ from .data import SPLITS, SynthConfig, generate_synthetic, load_features, write_
 from .gradcheck import REL_TOL, run_gradcheck
 from .net import binarize
 from .retrieval import build_index, evaluate, format_summary, pack_code, search, write_report_csv
-from .trainer import (ABLATIONS, LR_SCHEDULES, TrainConfig, codes_for, export_curves,
-                      load_checkpoint, save_checkpoint, train)
+from .trainer import (TrainConfig, codes_for, export_curves, load_checkpoint, save_checkpoint,
+                      train)
 
 
 def _parse_dims(text, flag):
@@ -24,6 +24,33 @@ def _parse_dims(text, flag):
         return tuple(int(d) for d in text.split(","))
     except ValueError:
         raise ValueError(f"{flag}: expected comma-separated integers, got {text!r}") from None
+
+
+def _flag(f):
+    return f.metadata.get("flag", "--" + f.name.replace("_", "-"))
+
+
+def _add_config_flags(p, cls):
+    """One flag per field of the config dataclass `cls`, typed by its annotation.
+
+    A tuple field is read as comma-separated integers after parsing. Every
+    flag defaults to None, so only the flags passed override the dataclass.
+    """
+    for f in fields(cls):
+        shown = ",".join(map(str, f.default)) if f.type is tuple else f.default
+        p.add_argument(_flag(f), dest=f.name, type=f.type if f.type in (int, float) else None,
+                       choices=f.metadata.get("choices"),
+                       help=f"{f.metadata['help']} (default {shown})")
+
+
+def _flag_values(cls, args) -> dict:
+    """The values of the `cls` flags that were passed, keyed by field name."""
+    values = {}
+    for f in fields(cls):
+        value = getattr(args, f.name)
+        if value is not None:
+            values[f.name] = _parse_dims(value, _flag(f)) if f.type is tuple else value
+    return values
 
 
 def _train_config(args) -> TrainConfig:
@@ -43,50 +70,11 @@ def _train_config(args) -> TrainConfig:
             TrainConfig(**values)
         except ValueError as e:
             raise ValueError(f"config {args.config}: {e}") from None
-    for f in fields(TrainConfig):
-        flag = getattr(args, f.name, None)
-        if flag is not None:
-            values[f.name] = flag
-    return TrainConfig(**values)
-
-
-def _add_train_flags(p):
-    p.add_argument("--config", help="JSON config file; flags override its values")
-    p.add_argument("--bits", type=int, help="hash code length K (default 16)")
-    p.add_argument("--proj-dim", dest="proj_dim", type=int,
-                   help="shared per-view projection dim (default 16)")
-    p.add_argument("--epochs", type=int, help="training epochs (default 500)")
-    p.add_argument("--batch-size", dest="batch_size", type=int,
-                   help="batch size b (default 128)")
-    p.add_argument("--lr", type=float, help="AdamW learning rate (default 1e-5)")
-    p.add_argument("--beta1", type=float, help="AdamW beta1 (default 0.9)")
-    p.add_argument("--beta2", type=float, help="AdamW beta2 (default 0.999)")
-    p.add_argument("--eps", type=float, help="AdamW epsilon (default 1e-8)")
-    p.add_argument("--weight-decay", dest="weight_decay", type=float,
-                   help="decoupled weight decay (default 0)")
-    p.add_argument("--dropout", dest="dropout_p", type=float,
-                   help="dropout probability on concatenated features (default 0.1)")
-    p.add_argument("--lam", type=float,
-                   help="block fraction for the pairwise loss, in (0, 0.5] (default 0.5)")
-    p.add_argument("--mu", type=float, help="quantization loss weight (default 0.5)")
-    p.add_argument("--wd-pair", dest="w_d", type=float,
-                   help="dissimilar-pair softplus weight (default 1.5)")
-    p.add_argument("--seed", type=int, help="RNG seed (default 0)")
-    p.add_argument("--eval-every", dest="eval_every", type=int,
-                   help="epochs between test-mAP evaluations (default 20)")
-    p.add_argument("--ablation", choices=ABLATIONS, help="pipeline variant (default full)")
-    p.add_argument("--lr-schedule", dest="lr_schedule", choices=LR_SCHEDULES,
-                   help="lr schedule (default constant)")
+    return TrainConfig(**{**values, **_flag_values(TrainConfig, args)})
 
 
 def cmd_synth(args) -> int:
-    cfg = SynthConfig(
-        categories=args.categories, views=args.views,
-        view_dims=_parse_dims(args.view_dims, "--view-dims"),
-        train_size=args.train_size, retrieval_size=args.retrieval_size,
-        query_size=args.query_size, noise_sigma=args.sigma,
-        multi_label_p=args.multi_label_p, seed=args.seed,
-    )
+    cfg = SynthConfig(**_flag_values(SynthConfig, args))
     split = generate_synthetic(cfg)
     manifest = write_features(split, args.out)
     (Path(args.out) / "synth_config.json").write_text(
@@ -180,22 +168,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic clustered dataset")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--categories", type=int, default=4)
-    p.add_argument("--views", type=int, default=2)
-    p.add_argument("--view-dims", dest="view_dims", default="16,16",
-                   help="comma-separated per-view dims")
-    p.add_argument("--train-size", dest="train_size", type=int, default=800)
-    p.add_argument("--retrieval-size", dest="retrieval_size", type=int, default=800)
-    p.add_argument("--query-size", dest="query_size", type=int, default=200)
-    p.add_argument("--sigma", type=float, default=0.1, help="cluster noise stddev")
-    p.add_argument("--multi-label-p", dest="multi_label_p", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
+    _add_config_flags(p, SynthConfig)
     p.set_defaults(fn=cmd_synth)
 
     p = sub.add_parser("train", help="train a model and write checkpoint + curves")
     p.add_argument("--data", required=True, help="dataset manifest or directory")
     p.add_argument("--out", required=True, help="output directory for artifacts")
-    _add_train_flags(p)
+    p.add_argument("--config", help="JSON config file; flags override its values")
+    _add_config_flags(p, TrainConfig)
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")

@@ -9,7 +9,8 @@ a bitstring. In memory a split is columnar: the ids, one (N, D) feature matrix
 
 import csv
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,8 @@ __all__ = [
     "DatasetSplit",
     "SynthConfig",
     "DatasetError",
+    "option",
+    "check_fields",
     "load_features",
     "write_features",
     "generate_synthetic",
@@ -58,27 +61,56 @@ class DatasetSplit:
     categories: int
 
 
+def option(default, help, **cli):
+    """A config field that is also a command-line flag: `help` describes it, and
+    `cli` may hold `flag` (when it is not --<name>) and `choices`."""
+    return field(default=default, metadata={"help": help, **cli})
+
+
+def check_fields(cfg, rules):
+    """Check a config dataclass: exact field types, then its value rules.
+
+    An int field must hold an int, a float field a finite int or float, and a
+    tuple field a tuple, so a bool, a string or a NaN never passes. Once the
+    types hold, rules() gives (name, ok, rule) triples; the first that is not
+    ok is a ValueError naming the field.
+    """
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if f.type is int and type(value) is not int:
+            raise ValueError(f"{f.name} must be an integer, got {value!r}")
+        if f.type is float and (type(value) not in (int, float) or not math.isfinite(value)):
+            raise ValueError(f"{f.name} must be a finite number, got {value!r}")
+        if f.type is tuple and type(value) is not tuple:
+            raise ValueError(f"{f.name} must be a tuple, got {value!r}")
+    for name, ok, rule in rules():
+        if not ok:
+            raise ValueError(f"{name} must be {rule}, got {getattr(cfg, name)!r}")
+
+
 @dataclass(frozen=True)
 class SynthConfig:
-    categories: int = 4
-    views: int = 2
-    view_dims: tuple = (16, 16)
-    train_size: int = 800
-    retrieval_size: int = 800
-    query_size: int = 200
-    noise_sigma: float = 0.1
-    multi_label_p: float = 0.0
-    seed: int = 0
+    categories: int = option(4, "number of categories C")
+    views: int = option(2, "number of views")
+    view_dims: tuple = option((16, 16), "comma-separated per-view dims")
+    train_size: int = option(800, "training split records")
+    retrieval_size: int = option(800, "retrieval split records")
+    query_size: int = option(200, "query split records")
+    noise_sigma: float = option(0.1, "cluster noise stddev", flag="--sigma")
+    multi_label_p: float = option(0.0, "probability that a record has two categories")
+    seed: int = option(0, "RNG seed")
 
     def __post_init__(self):
-        if self.categories < 1 or self.views < 1:
-            raise ValueError("categories and views must be >= 1")
-        if len(self.view_dims) != self.views or any(d < 1 for d in self.view_dims):
-            raise ValueError("view_dims must list one positive dim per view")
-        if self.noise_sigma <= 0:
-            raise ValueError("noise_sigma must be > 0")
-        if not 0.0 <= self.multi_label_p <= 1.0:
-            raise ValueError("multi_label_p must be in [0, 1]")
+        check_fields(self, lambda: (
+            *((name, getattr(self, name) >= 1, ">= 1") for name in
+              ("categories", "views", "train_size", "retrieval_size", "query_size")),
+            ("view_dims", len(self.view_dims) == self.views
+             and all(type(d) is int and d >= 1 for d in self.view_dims),
+             f"one positive integer for each of {self.views} views"),
+            ("noise_sigma", self.noise_sigma > 0, "> 0"),
+            ("multi_label_p", 0.0 <= self.multi_label_p <= 1.0, "in [0, 1]"),
+            ("seed", self.seed >= 0, ">= 0"),
+        ))
 
 
 def stack_views(split: Columns, rows=None) -> np.ndarray:

@@ -14,31 +14,16 @@ class OptimState:
     step: int
     m: np.ndarray  # first-moment estimates, flat in parameter-buffer order
     v: np.ndarray  # second-moment estimates, flat in parameter-buffer order
-    lr: float = 1e-5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 0.0
+    lr: float
+    beta1: float
+    beta2: float
+    eps: float
+    weight_decay: float
 
 
-def init_optim(
-    params: ModelParams,
-    lr: float = 1e-5,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-    weight_decay: float = 0.0,
-) -> OptimState:
-    return OptimState(
-        step=0,
-        m=np.zeros_like(params.buf),
-        v=np.zeros_like(params.buf),
-        lr=lr,
-        beta1=beta1,
-        beta2=beta2,
-        eps=eps,
-        weight_decay=weight_decay,
-    )
+def init_optim(params: ModelParams, **hyper) -> OptimState:
+    """Zero moments for `params`; `hyper` gives lr, beta1, beta2, eps and weight_decay."""
+    return OptimState(step=0, m=np.zeros_like(params.buf), v=np.zeros_like(params.buf), **hyper)
 
 
 def cosine_lr(base_lr: float, step: int, total_steps: int) -> float:

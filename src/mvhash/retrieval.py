@@ -124,10 +124,6 @@ class HammingIndex:
         """(distinct, members, starts) of _group, built by the first search() and kept."""
         return _group(self.words)
 
-    distinct = property(lambda self: self.grouping[0])
-    members = property(lambda self: self.grouping[1])
-    starts = property(lambda self: self.grouping[2])
-
 
 def _group(words):
     """(distinct, members, starts) of word-major codes (W, N): distinct (W, U) holds

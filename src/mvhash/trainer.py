@@ -11,13 +11,14 @@ import json
 import math
 import struct
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import net as netmod
-from .data import Columns, DatasetSplit, batches, stack_labels, stack_views
+from .data import (Columns, DatasetSplit, batches, check_fields, option, stack_labels,
+                   stack_views)
 from .loss import LossConfig, total_loss
 from .net import ModelParams, NetConfig, binarize, forward_batch, init_params
 from .optim import OptimState, adamw_step, cosine_lr, init_optim
@@ -43,36 +44,31 @@ _CHUNK = 512  # rows per forward pass in codes_for
 
 @dataclass(frozen=True)
 class TrainConfig:
-    bits: int = 16
-    proj_dim: int = 16
-    epochs: int = 500
-    batch_size: int = 128
-    lr: float = 1e-5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 0.0
-    dropout_p: float = 0.1
-    lam: float = 0.5
-    mu: float = 0.5
-    w_d: float = 1.5
-    seed: int = 0
-    eval_every: int = 20
-    ablation: str = "full"
-    lr_schedule: str = "constant"  # one of LR_SCHEDULES
+    bits: int = option(16, "hash code length K")
+    proj_dim: int = option(16, "shared per-view projection dim")
+    epochs: int = option(500, "training epochs")
+    batch_size: int = option(128, "batch size b")
+    lr: float = option(1e-5, "AdamW learning rate")
+    beta1: float = option(0.9, "AdamW beta1")
+    beta2: float = option(0.999, "AdamW beta2")
+    eps: float = option(1e-8, "AdamW epsilon")
+    weight_decay: float = option(0.0, "decoupled weight decay")
+    dropout_p: float = option(0.1, "dropout probability on concatenated features",
+                              flag="--dropout")
+    lam: float = option(0.5, "block fraction for the pairwise loss, in (0, 0.5]")
+    mu: float = option(0.5, "quantization loss weight")
+    w_d: float = option(1.5, "dissimilar-pair softplus weight", flag="--wd-pair")
+    seed: int = option(0, "RNG seed")
+    eval_every: int = option(20, "epochs between test-mAP evaluations")
+    ablation: str = option("full", "pipeline variant", choices=ABLATIONS)
+    lr_schedule: str = option("constant", "lr schedule", choices=LR_SCHEDULES)
 
     def __post_init__(self):
-        for f in fields(self):  # exact types, so a bool or a string never passes
-            value = getattr(self, f.name)
-            if f.type is int and type(value) is not int:
-                raise ValueError(f"{f.name} must be an integer, got {value!r}")
-            if f.type is float and (type(value) not in (int, float) or not math.isfinite(value)):
-                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
         if self.ablation not in ABLATIONS:
             raise ValueError(f"unknown ablation {self.ablation!r}; pick one of {ABLATIONS}")
         if self.lr_schedule not in LR_SCHEDULES:
             raise ValueError(f"unknown lr schedule {self.lr_schedule!r}")
-        for name, ok, rule in (
+        check_fields(self, lambda: (
             ("epochs", self.epochs >= 0, ">= 0"),
             ("bits", self.bits >= 1, ">= 1"),
             ("proj_dim", self.proj_dim >= 1, ">= 1"),
@@ -85,9 +81,7 @@ class TrainConfig:
             ("weight_decay", self.weight_decay >= 0.0, ">= 0"),
             ("seed", self.seed >= 0, ">= 0"),
             ("eval_every", self.eval_every >= 0, ">= 0"),
-        ):
-            if not ok:
-                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+        ))
         LossConfig(lam=self.lam, mu=self.mu, w_d=self.w_d)  # validates ranges
 
     def pipeline(self, num_views: int):

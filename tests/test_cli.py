@@ -1,8 +1,10 @@
+import argparse
 import hashlib
 import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -10,11 +12,11 @@ import pytest
 
 import mvhash.data
 import mvhash.retrieval
-from mvhash.cli import main
-from mvhash.data import load_features, stack_labels
+from mvhash.cli import build_parser, main
+from mvhash.data import SynthConfig, load_features, stack_labels
 from mvhash.net import NetConfig, binarize, init_params
 from mvhash.retrieval import average_precision, build_index, pack_code, search
-from mvhash.trainer import codes_for, load_checkpoint, save_checkpoint
+from mvhash.trainer import TrainConfig, codes_for, load_checkpoint, save_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +92,40 @@ SYNTH_DIGESTS = {
     "query.csv": "e99acc6e3195b9eafc5bf4002f13544cd9c777f9be4fcefe2873cd7b85d906fb",
     "manifest.json": "b4f5a04148a55039ce2cb02371ad9a13db5c2624994d7abdd9fa63390ab3c805",
 }
+
+
+class TestFlagsFromConfigs:
+    """The train and synth flags are derived from TrainConfig and SynthConfig."""
+
+    @pytest.mark.parametrize("command,cls", [("train", TrainConfig), ("synth", SynthConfig)])
+    def test_one_flag_per_field(self, command, cls):
+        parser = build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        dests = [a.dest for a in sub.choices[command]._actions
+                 if a.dest not in ("help", "data", "out", "config")]
+        assert sorted(dests) == sorted(f.name for f in fields(cls))
+
+    def test_synth_defaults_are_the_dataclass_defaults(self, tmp_path, capsys):
+        assert main(["synth", "--out", str(tmp_path)]) == 0
+        written = json.loads((tmp_path / "synth_config.json").read_text())
+        assert written == json.loads(json.dumps(asdict(SynthConfig())))
+
+    def test_train_defaults_are_the_dataclass_defaults(self, dataset_dir, tmp_path, capsys):
+        assert main(["train", "--data", str(dataset_dir), "--out", str(tmp_path),
+                     "--epochs", "0"]) == 0
+        written = json.loads((tmp_path / "train_config.json").read_text())
+        assert written == asdict(TrainConfig(epochs=0))
+
+    @pytest.mark.parametrize("flag,value,field", [
+        ("--sigma", "nan", "noise_sigma"), ("--train-size", "0", "train_size"),
+        ("--train-size", "-1", "train_size"), ("--seed", "-1", "seed"),
+    ])
+    def test_bad_synth_value_is_one_line_naming_the_field(self, tmp_path, capsys, flag, value,
+                                                          field):
+        assert main(["synth", "--out", str(tmp_path / "d"), flag, value]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {field} must be")
+        assert not (tmp_path / "d").exists()
 
 
 class TestTrain:

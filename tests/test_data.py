@@ -254,6 +254,22 @@ class TestManifestErrors:
 
 
 class TestSynthetic:
+    @pytest.mark.parametrize("field,value", [
+        ("noise_sigma", float("nan")),
+        ("noise_sigma", float("inf")),
+        ("train_size", 0),
+        ("query_size", 0),
+        ("train_size", -1),
+        ("seed", -1),
+        ("categories", True),
+        ("train_size", 2.5),
+        ("view_dims", (4.5, 4)),
+    ])
+    def test_bad_value_rejected_naming_the_field(self, field, value):
+        with pytest.raises(ValueError) as info:
+            SynthConfig(**{field: value})
+        assert str(info.value).startswith(f"{field} must be")
+
     def test_degenerate_noise_collapses_clusters(self):
         cfg = SynthConfig(noise_sigma=1e-12, train_size=40, retrieval_size=1,
                           query_size=1, seed=3)

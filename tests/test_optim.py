@@ -5,11 +5,16 @@ from mvhash.net import ModelParams, NetConfig, init_params
 from mvhash.optim import adamw_step, cosine_lr, init_optim
 
 
+def adamw(params, lr=1e-5, weight_decay=0.0):
+    return init_optim(params, lr=lr, beta1=0.9, beta2=0.999, eps=1e-8,
+                      weight_decay=weight_decay)
+
+
 def scalar_setup(theta=1.0, lr=1e-5, weight_decay=0.0):
     cfg = NetConfig((1,), 1, 1)
     params = init_params(cfg, 0)
     params.buf[:] = theta
-    state = init_optim(params, lr=lr, weight_decay=weight_decay)
+    state = adamw(params, lr=lr, weight_decay=weight_decay)
     return params, state
 
 
@@ -47,7 +52,7 @@ def test_first_step_magnitude_bounded():
     rng = np.random.default_rng(2)
     grads = ModelParams(cfg, rng.normal(size=params.buf.shape))
     lr = 1e-3
-    state = init_optim(params, lr=lr)
+    state = adamw(params, lr=lr)
     before = params.buf.copy()
     new_params, _ = adamw_step(params, grads, state)
     assert np.all(np.abs(new_params.buf - before) <= lr * (1.0 + 1e-6))
@@ -58,8 +63,8 @@ def test_deterministic():
     pa, pb = init_params(cfg, 3), init_params(cfg, 3)
     rng = np.random.default_rng(4)
     grads = ModelParams(cfg, rng.normal(size=pa.buf.shape))
-    a, _ = adamw_step(pa, grads, init_optim(pa, lr=1e-4))
-    b, _ = adamw_step(pb, grads, init_optim(pb, lr=1e-4))
+    a, _ = adamw_step(pa, grads, adamw(pa, lr=1e-4))
+    b, _ = adamw_step(pb, grads, adamw(pb, lr=1e-4))
     for (_, x), (_, y) in zip(a.tensors(), b.tensors()):
         assert np.array_equal(x, y)
 

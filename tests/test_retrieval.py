@@ -359,7 +359,7 @@ class TestDistinctCodes:
     def test_layout(self, case):
         corpus, ids, _ = case
         index = build_index(corpus, ids, np.ones((len(ids), 1), dtype=np.int8))
-        n, members, starts = len(ids), index.members, index.starts
+        n, (distinct, members, starts) = len(ids), index.grouping
         assert np.array_equal(np.sort(members), np.arange(n))
         assert starts[0] == 0 and starts[-1] == n and np.all(np.diff(starts) > 0)
         first = members[starts[:-1]]
@@ -369,8 +369,8 @@ class TestDistinctCodes:
             assert np.all(np.diff(rows) > 0)
             assert np.all(corpus[rows] == corpus[rows[0]])
             assert np.array_equal(index.words[:, rows],
-                                  np.repeat(index.distinct[:, u:u + 1], rows.size, axis=1))
-        assert len({tuple(col) for col in index.distinct.T}) == len(starts) - 1
+                                  np.repeat(distinct[:, u:u + 1], rows.size, axis=1))
+        assert len({tuple(col) for col in distinct.T}) == len(starts) - 1
 
     @pytest.mark.parametrize("top", [10, 25])
     def test_fewer_codes_than_k(self, top):
@@ -378,7 +378,7 @@ class TestDistinctCodes:
         corpus = random_codes(rng, 3, 16)[rng.integers(3, size=20)]
         ids = [f"c{i}" for i in range(20)]
         index = build_index(corpus, ids, np.ones((20, 1), dtype=np.int8))
-        assert index.distinct.shape == (1, 3)
+        assert index.grouping[0].shape == (1, 3)
         for q in np.concatenate([corpus[:3], random_codes(rng, 5, 16)]):
             assert search(index, pack_code(q), top) == naive_search(corpus, ids, q, top)
 

@@ -264,7 +264,8 @@ class TestCheckpointValidation:
     def test_truncated_or_padded_file_rejected(self, view_dims, proj, bits, with_optim, extra):
         net_cfg = NetConfig(tuple(view_dims), proj, bits)
         params = init_params(net_cfg, 0)
-        optim = init_optim(params) if with_optim else None
+        optim = (init_optim(params, lr=1e-5, beta1=0.9, beta2=0.999, eps=1e-8,
+                            weight_decay=0.0) if with_optim else None)
         with tempfile.TemporaryDirectory() as tmp:
             full, cut = Path(tmp) / "full.bin", Path(tmp) / "cut.bin"
             save_checkpoint(full, params, net_cfg, config={"seed": 0}, optim=optim)
