@@ -9,7 +9,7 @@ a bitstring. In memory a split is columnar: the ids, one (N, D) feature matrix
 
 import csv
 import json
-import math
+import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -68,21 +68,27 @@ def option(default, help, **cli):
 
 
 def check_fields(cfg, rules):
-    """Check a config dataclass: exact field types, then its value rules.
+    """Check a config dataclass: exact field types and choices, then its value rules.
 
     An int field must hold an int, a float field a finite int or float, and a
-    tuple field a tuple, so a bool, a string or a NaN never passes. Once the
-    types hold, rules() gives (name, ok, rule) triples; the first that is not
-    ok is a ValueError naming the field.
+    tuple field a tuple, so a bool, a string or a NaN never passes; a field
+    declared with `option(choices=...)` must hold one of them. Once these
+    hold, rules() gives (name, ok, rule) triples; the first that is not ok is
+    a ValueError naming the field.
     """
     for f in fields(cfg):
         value = getattr(cfg, f.name)
         if f.type is int and type(value) is not int:
             raise ValueError(f"{f.name} must be an integer, got {value!r}")
-        if f.type is float and (type(value) not in (int, float) or not math.isfinite(value)):
+        # an int compares exactly, so one too large for a float fails, as do NaN and inf
+        if f.type is float and (type(value) not in (int, float)
+                                or not abs(value) <= sys.float_info.max):
             raise ValueError(f"{f.name} must be a finite number, got {value!r}")
         if f.type is tuple and type(value) is not tuple:
             raise ValueError(f"{f.name} must be a tuple, got {value!r}")
+        choices = f.metadata.get("choices")
+        if choices is not None and value not in choices:
+            raise ValueError(f"{f.name} must be one of {choices}, got {value!r}")
     for name, ok, rule in rules():
         if not ok:
             raise ValueError(f"{name} must be {rule}, got {getattr(cfg, name)!r}")

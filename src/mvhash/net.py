@@ -174,13 +174,9 @@ def forward_batch(
     if view_mask is not None:  # a new array, so the caller's rows stay as they are
         x = np.where(np.repeat(np.asarray(view_mask, dtype=bool), cfg.view_dims), x, 0.0)
 
-    # per-view projections, side by side in concat
-    p = cfg.proj_dim
-    concat = np.empty((x.shape[0], cfg.fused_dim))
-    for v, cols in enumerate(cfg.view_columns):
-        z = x[:, cols] @ params.norm_w[v].T
-        z += params.norm_b[v]
-        np.tanh(z, out=concat[:, v * p:(v + 1) * p])
+    # per-view projections side by side, then one tanh over all of them
+    concat = np.tanh(np.concatenate([x[:, cols] @ params.norm_w[v].T + params.norm_b[v]
+                                     for v, cols in enumerate(cfg.view_columns)], axis=1))
 
     mask, dropped = None, concat
     if dropout:
@@ -191,15 +187,10 @@ def forward_batch(
     # context gating, or the identity
     gate, fused = None, dropped
     if use_gating:
-        z = dropped @ params.fusion_w.T
-        z += params.fusion_b
-        gate = sigmoid(z)
-        fused = np.multiply(gate, dropped, out=z)
+        gate = sigmoid(dropped @ params.fusion_w.T + params.fusion_b)
+        fused = gate * dropped
 
-    # hash head
-    z = fused @ params.hash_w.T
-    z += params.hash_b
-    codes = np.tanh(z, out=z)
+    codes = np.tanh(fused @ params.hash_w.T + params.hash_b)  # hash head
     return codes, BatchTape(x, concat, mask, dropped, gate, fused, codes)
 
 

@@ -14,16 +14,11 @@ class OptimState:
     step: int
     m: np.ndarray  # first-moment estimates, flat in parameter-buffer order
     v: np.ndarray  # second-moment estimates, flat in parameter-buffer order
-    lr: float
-    beta1: float
-    beta2: float
-    eps: float
-    weight_decay: float
 
 
-def init_optim(params: ModelParams, **hyper) -> OptimState:
-    """Zero moments for `params`; `hyper` gives lr, beta1, beta2, eps and weight_decay."""
-    return OptimState(step=0, m=np.zeros_like(params.buf), v=np.zeros_like(params.buf), **hyper)
+def init_optim(params: ModelParams) -> OptimState:
+    """Step 0 and zero moments for `params`."""
+    return OptimState(step=0, m=np.zeros_like(params.buf), v=np.zeros_like(params.buf))
 
 
 def cosine_lr(base_lr: float, step: int, total_steps: int) -> float:
@@ -34,18 +29,18 @@ def cosine_lr(base_lr: float, step: int, total_steps: int) -> float:
     return base_lr * 0.5 * (1.0 + np.cos(np.pi * t))
 
 
-def adamw_step(params: ModelParams, grads: ModelParams, state: OptimState, lr=None):
+def adamw_step(params: ModelParams, grads: ModelParams, state: OptimState, lr: float, cfg):
     """One decoupled-weight-decay Adam update, in place; returns (params, state).
 
-    The decay term lr * wd * theta is applied outside the adaptive
-    m_hat / (sqrt(v_hat) + eps) rescaling. lr overrides state.lr for this
-    step (schedules); the stored lr is unchanged. Each expression keeps the
-    operand order of theta - lr * (m_hat / (sqrt(v_hat) + eps) + wd * theta),
-    so the result is bit-identical to evaluating it out of place.
+    lr is this step's rate (the run's lr, or its schedule's value); cfg, the
+    run's TrainConfig, gives beta1, beta2, eps and weight_decay. The decay
+    term lr * wd * theta is applied outside the adaptive
+    m_hat / (sqrt(v_hat) + eps) rescaling. Each expression keeps the operand
+    order of theta - lr * (m_hat / (sqrt(v_hat) + eps) + wd * theta), so the
+    result is bit-identical to evaluating it out of place.
     """
     t = state.step + 1
-    step_lr = state.lr if lr is None else lr
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = cfg.beta1, cfg.beta2
     theta, g, m, v = params.buf, grads.buf, state.m, state.v
     tmp, upd = np.empty_like(theta), np.empty_like(theta)
 
@@ -58,12 +53,12 @@ def adamw_step(params: ModelParams, grads: ModelParams, state: OptimState, lr=No
 
     np.divide(v, 1.0 - b2 ** t, out=tmp)  # sqrt(v_hat) + eps
     np.sqrt(tmp, out=tmp)
-    tmp += state.eps
+    tmp += cfg.eps
     np.divide(m, 1.0 - b1 ** t, out=upd)  # m_hat / (sqrt(v_hat) + eps) + wd * theta
     upd /= tmp
-    if state.weight_decay:  # adding 0 * theta would change at most the sign of a zero
-        upd += np.multiply(theta, state.weight_decay, out=tmp)
-    upd *= step_lr
+    if cfg.weight_decay:  # adding 0 * theta would change at most the sign of a zero
+        upd += np.multiply(theta, cfg.weight_decay, out=tmp)
+    upd *= lr
     theta -= upd
     state.step = t
     return params, state

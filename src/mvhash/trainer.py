@@ -64,10 +64,6 @@ class TrainConfig:
     lr_schedule: str = option("constant", "lr schedule", choices=LR_SCHEDULES)
 
     def __post_init__(self):
-        if self.ablation not in ABLATIONS:
-            raise ValueError(f"unknown ablation {self.ablation!r}; pick one of {ABLATIONS}")
-        if self.lr_schedule not in LR_SCHEDULES:
-            raise ValueError(f"unknown lr schedule {self.lr_schedule!r}")
         check_fields(self, lambda: (
             ("epochs", self.epochs >= 0, ">= 0"),
             ("bits", self.bits >= 1, ">= 1"),
@@ -163,8 +159,7 @@ def train(dataset: DatasetSplit, cfg: TrainConfig) -> TrainResult:
     loss_cfg, metric_weight, view_mask, use_gating = cfg.pipeline(net_cfg.num_views)
 
     params = init_params(net_cfg, cfg.seed)
-    state = init_optim(params, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2,
-                       eps=cfg.eps, weight_decay=cfg.weight_decay)
+    state = init_optim(params)
     steps_per_epoch = max(1, len(dataset.train) // cfg.batch_size)
     total_steps = cfg.epochs * steps_per_epoch
 
@@ -188,8 +183,8 @@ def train(dataset: DatasetSplit, cfg: TrainConfig) -> TrainResult:
                 )
             netmod.backward_batch(tape, params, dH, out=grads)
             lr = (cosine_lr(cfg.lr, state.step, total_steps)
-                  if cfg.lr_schedule == "cosine" else None)
-            adamw_step(params, grads, state, lr=lr)
+                  if cfg.lr_schedule == "cosine" else cfg.lr)
+            adamw_step(params, grads, state, lr, cfg)
             losses.append(loss)
 
         test_map = None
@@ -225,7 +220,6 @@ def export_curves(records, path) -> None:
 
 _MAGIC = b"MVHCKPT1"
 _PREFIX = len(_MAGIC) + 8  # magic, then the header length as little-endian uint64
-_OPTIM_FIELDS = ("step", "lr", "beta1", "beta2", "eps", "weight_decay")
 
 
 @dataclass
@@ -242,6 +236,8 @@ def save_checkpoint(path, params: ModelParams, net_cfg: NetConfig,
 
     The body is the parameter buffer, then the optimizer's m and v buffers
     when present, each little-endian float64 in `net_cfg.layout()` order.
+    The header's optim holds only the step: the optimizer's hyper-parameters
+    are those of the stored training config.
     """
     if params.cfg != net_cfg:
         raise ValueError(f"parameters are laid out for {params.cfg}, not {net_cfg}")
@@ -255,7 +251,7 @@ def save_checkpoint(path, params: ModelParams, net_cfg: NetConfig,
     }
     buffers = [params.buf]
     if optim is not None:
-        header["optim"] = {k: getattr(optim, k) for k in _OPTIM_FIELDS}
+        header["optim"] = {"step": optim.step}
         buffers += [optim.m, optim.v]
     head = json.dumps(header, sort_keys=True).encode()
     with open(Path(path), "wb") as fh:
@@ -267,7 +263,11 @@ def save_checkpoint(path, params: ModelParams, net_cfg: NetConfig,
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint; any malformed, truncated or padded file is a ValueError."""
+    """Read a checkpoint; any malformed, truncated or padded file is a ValueError.
+
+    A header's optim keys other than step, which files written by earlier
+    versions hold, are not read.
+    """
     data = Path(path).read_bytes()
     if data[:len(_MAGIC)] != _MAGIC:
         raise ValueError(f"{path}: not a checkpoint file")
@@ -280,23 +280,25 @@ def load_checkpoint(path) -> Checkpoint:
         net = header["net"]
         net_cfg = NetConfig(tuple(net["view_dims"]), net["proj_dim"], net["code_bits"])
         entries = [(e["name"], tuple(e["shape"])) for e in header["tensors"]]
-        o = header["optim"]
-        hyper = None if o is None else {k: o[k] for k in _OPTIM_FIELDS}
+        has_optim = header["optim"] is not None
+        step = header["optim"]["step"] if has_optim else None
         config = header["config"]
     except (ValueError, KeyError, TypeError) as e:
         raise ValueError(f"{path}: malformed checkpoint header "
                          f"({type(e).__name__}: {e})") from None
+    if type(config) is not dict:
+        raise ValueError(f"{path}: header config is not a JSON object ({config!r})")
+    if has_optim and (type(step) is not int or step < 0):  # no bool, float, string or null
+        raise ValueError(f"{path}: header optim.step is not a non-negative integer ({step!r})")
     if entries != net_cfg.layout():
         raise ValueError(f"{path}: header tensors do not match the layout of {net_cfg}")
     n = net_cfg.num_params
-    buffers = 1 if hyper is None else 3
+    buffers = 3 if has_optim else 1
     expected = body_at + buffers * n * 8
     if len(data) != expected:
         raise ValueError(f"{path}: {len(data)} bytes, expected {expected} for "
                          f"{buffers} buffer(s) of {n} float64 values")
     flat = np.frombuffer(data, dtype="<f8", offset=body_at).astype(np.float64)
     params = ModelParams(net_cfg, flat[:n])
-    optim = None
-    if hyper is not None:
-        optim = OptimState(m=flat[n:2 * n], v=flat[2 * n:], **hyper)
+    optim = OptimState(step, flat[n:2 * n], flat[2 * n:]) if has_optim else None
     return Checkpoint(params=params, net_cfg=net_cfg, config=config, optim=optim)

@@ -1,14 +1,23 @@
 import argparse
+import contextlib
+import copy
+import functools
 import hashlib
+import io
 import json
+import operator
 import os
+import struct
 import subprocess
 import sys
+import tempfile
 from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mvhash.data
 import mvhash.retrieval
@@ -158,6 +167,8 @@ class TestTrain:
         ('{"bits": "16"}', "bits must be an integer, got '16'"),
         ('{"bits": 16.5}', "bits must be an integer, got 16.5"),
         ('{"lr": true}', "lr must be a finite number, got True"),
+        ('{"ablation": "nonsense"}', "ablation must be one of"),
+        ('{"lr": 1' + '0' * 400 + '}', "lr must be a finite number"),
         ('[1, 2]', "expected a JSON object, got list"),
         ('{"bits": 16,', "Expecting property name"),
     ])
@@ -378,6 +389,78 @@ class TestCheckpointMatchesDataset:
         q_codes = binarize(codes_for(split.query, ckpt.params, mask))
         assert lines == [f"{qid}: {' '.join(search(index, pack_code(q_codes[i]), 3))}"
                          for i, qid in enumerate(split.query.ids)]
+
+
+def json_paths(node, path=()):
+    """The key or index path of every value inside a JSON value, the root excluded."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from json_paths(child, path + (key,))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=3),
+    max_leaves=4)
+
+
+class TestCorruptCheckpoint:
+    """One corruption of a full-ablation checkpoint: eval and search then give the
+    clean run's output, or exit 1 with one stderr line naming the checkpoint."""
+
+    COMMANDS = (["eval", "--cutoffs", "5"], ["search", "-k", "3"])
+
+    def run(self, command, checkpoint, dataset_dir):
+        """(exit code, stdout, stderr) of one cli.main call."""
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command[0], "--checkpoint", str(checkpoint), "--data", str(dataset_dir),
+                         *command[1:]])
+        return code, out.getvalue(), err.getvalue()
+
+    @pytest.fixture(scope="class")
+    def clean(self, dataset_dir, run_dir):
+        data = (run_dir / "checkpoint.bin").read_bytes()
+        (head_len,) = struct.unpack("<Q", data[8:16])
+        header = json.loads(data[16:16 + head_len])
+        assert header["config"]["ablation"] == "full" and header["optim"] is not None
+        runs = [self.run(c, run_dir / "checkpoint.bin", dataset_dir) for c in self.COMMANDS]
+        assert [code for code, _, _ in runs] == [0, 0]
+        return header, data[16 + head_len:], runs
+
+    @settings(max_examples=100, deadline=None)
+    @given(draw=st.data())
+    def test_clean_output_or_one_line_naming_it(self, clean, dataset_dir, draw):
+        header, body, clean_runs = clean
+        header = copy.deepcopy(header)
+        kind = draw.draw(st.sampled_from(["delete", "retype", "cut", "pad"]))
+        if kind in ("delete", "retype"):
+            *at, key = draw.draw(st.sampled_from(list(json_paths(header))))
+            parent = functools.reduce(operator.getitem, at, header)
+            if kind == "delete":
+                del parent[key]
+            else:
+                old = type(parent[key])
+                parent[key] = draw.draw(JSON_VALUES.filter(lambda v: type(v) is not old))
+        elif kind == "cut":
+            body = body[:-draw.draw(st.integers(1, len(body)))]
+        else:
+            body += draw.draw(st.binary(min_size=1, max_size=64))
+        head = json.dumps(header, sort_keys=True).encode()
+        with tempfile.TemporaryDirectory() as tmp:
+            checkpoint = Path(tmp) / "corrupt.bin"
+            checkpoint.write_bytes(b"MVHCKPT1" + struct.pack("<Q", len(head)) + head + body)
+            for command, clean_run in zip(self.COMMANDS, clean_runs):
+                code, out, err = self.run(command, checkpoint, dataset_dir)
+                if code == 0:
+                    assert (out, err) == clean_run[1:]
+                else:
+                    assert code == 1 and out == ""
+                    lines = err.splitlines()
+                    assert len(lines) == 1 and str(checkpoint) in lines[0]
 
 
 class TestGradcheck:

@@ -3,36 +3,31 @@ import pytest
 
 from mvhash.net import ModelParams, NetConfig, init_params
 from mvhash.optim import adamw_step, cosine_lr, init_optim
-
-
-def adamw(params, lr=1e-5, weight_decay=0.0):
-    return init_optim(params, lr=lr, beta1=0.9, beta2=0.999, eps=1e-8,
-                      weight_decay=weight_decay)
+from mvhash.trainer import TrainConfig
 
 
 def scalar_setup(theta=1.0, lr=1e-5, weight_decay=0.0):
     cfg = NetConfig((1,), 1, 1)
     params = init_params(cfg, 0)
     params.buf[:] = theta
-    state = adamw(params, lr=lr, weight_decay=weight_decay)
-    return params, state
+    return params, init_optim(params), TrainConfig(lr=lr, weight_decay=weight_decay)
 
 
 def test_zero_grad_zero_decay_is_fixed_point():
-    params, state = scalar_setup()
+    params, state, train_cfg = scalar_setup()
     grads = ModelParams(params.cfg)
     before = params.buf.copy()
     p, s = params, state
     for _ in range(10):
-        p, s = adamw_step(p, grads, s)
+        p, s = adamw_step(p, grads, s, train_cfg.lr, train_cfg)
     assert np.array_equal(p.buf, before)
     assert s.step == 10
 
 
 def test_first_step_bias_corrected():
-    params, state = scalar_setup(theta=1.0, lr=1e-5)
+    params, state, train_cfg = scalar_setup(theta=1.0, lr=1e-5)
     grads = ModelParams(params.cfg, np.ones_like(params.buf))
-    new_params, new_state = adamw_step(params, grads, state)
+    new_params, new_state = adamw_step(params, grads, state, train_cfg.lr, train_cfg)
     # m_hat = v_hat = 1 at step 1, so the update is lr / (1 + eps)
     expected = 1.0 - 1e-5 * (1.0 / (1.0 + 1e-8))
     assert new_params.hash_w[0, 0] == pytest.approx(expected, abs=1e-15)
@@ -40,9 +35,9 @@ def test_first_step_bias_corrected():
 
 
 def test_decoupled_decay_only():
-    params, state = scalar_setup(theta=1.0, lr=1e-5, weight_decay=0.01)
+    params, state, train_cfg = scalar_setup(theta=1.0, lr=1e-5, weight_decay=0.01)
     grads = ModelParams(params.cfg)
-    new_params, _ = adamw_step(params, grads, state)
+    new_params, _ = adamw_step(params, grads, state, train_cfg.lr, train_cfg)
     assert new_params.hash_w[0, 0] == pytest.approx(1.0 - 1e-7, abs=1e-18)
 
 
@@ -52,9 +47,8 @@ def test_first_step_magnitude_bounded():
     rng = np.random.default_rng(2)
     grads = ModelParams(cfg, rng.normal(size=params.buf.shape))
     lr = 1e-3
-    state = adamw(params, lr=lr)
     before = params.buf.copy()
-    new_params, _ = adamw_step(params, grads, state)
+    new_params, _ = adamw_step(params, grads, init_optim(params), lr, TrainConfig(lr=lr))
     assert np.all(np.abs(new_params.buf - before) <= lr * (1.0 + 1e-6))
 
 
@@ -63,8 +57,9 @@ def test_deterministic():
     pa, pb = init_params(cfg, 3), init_params(cfg, 3)
     rng = np.random.default_rng(4)
     grads = ModelParams(cfg, rng.normal(size=pa.buf.shape))
-    a, _ = adamw_step(pa, grads, adamw(pa, lr=1e-4))
-    b, _ = adamw_step(pb, grads, adamw(pb, lr=1e-4))
+    train_cfg = TrainConfig(lr=1e-4)
+    a, _ = adamw_step(pa, grads, init_optim(pa), train_cfg.lr, train_cfg)
+    b, _ = adamw_step(pb, grads, init_optim(pb), train_cfg.lr, train_cfg)
     for (_, x), (_, y) in zip(a.tensors(), b.tensors()):
         assert np.array_equal(x, y)
 

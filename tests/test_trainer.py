@@ -70,10 +70,6 @@ class TestTrain:
         result = train(tiny_dataset, TrainConfig(epochs=2, lr_schedule="cosine", **SMALL))
         assert len(result.records) == 2
 
-    def test_bad_ablation_rejected(self):
-        with pytest.raises(ValueError):
-            TrainConfig(ablation="nonsense")
-
     @pytest.mark.parametrize("field,value", [
         ("bits", 0), ("proj_dim", 0), ("batch_size", 1), ("dropout_p", 1.0),
         ("dropout_p", -0.1), ("lr", 0.0), ("lr", -1e-3), ("eval_every", -1),
@@ -81,7 +77,8 @@ class TestTrain:
         ("weight_decay", -0.01), ("seed", -1),
         ("bits", "16"), ("bits", 16.5), ("bits", True), ("epochs", None),
         ("seed", 1.0), ("lr", "1e-3"), ("lr", True), ("mu", float("nan")),
-        ("weight_decay", float("inf")), ("dropout_p", [0.1]),
+        ("weight_decay", float("inf")), ("dropout_p", [0.1]), ("lr", 10**400),
+        ("ablation", "nonsense"), ("ablation", 3), ("lr_schedule", "linear"),
     ])
     def test_bad_value_rejected_at_construction(self, field, value):
         with pytest.raises(ValueError) as info:
@@ -264,8 +261,7 @@ class TestCheckpointValidation:
     def test_truncated_or_padded_file_rejected(self, view_dims, proj, bits, with_optim, extra):
         net_cfg = NetConfig(tuple(view_dims), proj, bits)
         params = init_params(net_cfg, 0)
-        optim = (init_optim(params, lr=1e-5, beta1=0.9, beta2=0.999, eps=1e-8,
-                            weight_decay=0.0) if with_optim else None)
+        optim = init_optim(params) if with_optim else None
         with tempfile.TemporaryDirectory() as tmp:
             full, cut = Path(tmp) / "full.bin", Path(tmp) / "cut.bin"
             save_checkpoint(full, params, net_cfg, config={"seed": 0}, optim=optim)
@@ -300,6 +296,41 @@ class TestCheckpointValidation:
         save_checkpoint(path, init_params(net_cfg, 0), net_cfg)
         rewrite_header(path, lambda h: h["net"].update({key: value}))
         assert key in assert_one_line_error(path)
+
+    @pytest.mark.parametrize("edit, key", [
+        (lambda h: h.update(config=[1, 2]), "config"),
+        (lambda h: h.update(config="seed"), "config"),
+        (lambda h: h["optim"].update(step=-1), "optim.step"),
+        (lambda h: h["optim"].update(step="seven"), "optim.step"),
+        (lambda h: h["optim"].update(step=7.0), "optim.step"),
+        (lambda h: h["optim"].update(step=True), "optim.step"),
+        (lambda h: h["optim"].update(step=None), "optim.step"),
+    ], ids=["config-list", "config-str", "step-negative", "step-str", "step-float",
+            "step-bool", "step-null"])
+    def test_bad_config_or_step_named(self, tmp_path, edit, key):
+        net_cfg = NetConfig((3, 2), 2, 3)
+        params = init_params(net_cfg, 0)
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, params, net_cfg, config={"seed": 0}, optim=init_optim(params))
+        rewrite_header(path, edit)
+        assert key in assert_one_line_error(path)
+
+    def test_earlier_optim_keys_not_read(self, tmp_path):
+        # files written by earlier versions also stored the AdamW hyper-parameters
+        net_cfg = NetConfig((3, 2), 2, 3)
+        params = init_params(net_cfg, 0)
+        optim = init_optim(params)
+        optim.step = 7
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, params, net_cfg, config={"seed": 0}, optim=optim)
+        clean = path.read_bytes()
+        rewrite_header(path, lambda h: h["optim"].update(
+            lr="NaN", beta1=-3.0, beta2=0.999, eps=1e-8, weight_decay=[]))
+        ckpt = load_checkpoint(path)
+        assert ckpt.optim.step == 7 and params_equal(ckpt.params, params)
+        resaved = tmp_path / "resaved.bin"
+        save_checkpoint(resaved, ckpt.params, ckpt.net_cfg, config=ckpt.config, optim=ckpt.optim)
+        assert resaved.read_bytes() == clean
 
     def test_malformed_header_named(self, tmp_path):
         net_cfg = NetConfig((3,), 2, 3)
