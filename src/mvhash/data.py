@@ -25,6 +25,7 @@ __all__ = [
     "load_features",
     "write_features",
     "generate_synthetic",
+    "epoch_rows",
     "batches",
     "stack_views",
     "stack_labels",
@@ -44,7 +45,7 @@ class Columns:
 
     ids: list
     features: np.ndarray  # (N, D), views concatenated in order; float32 as loaded
-    labels: np.ndarray  # (N, C) int8 multi-hot
+    labels: np.ndarray  # (N, C) multi-hot; int8 as loaded or drawn
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -126,8 +127,9 @@ def stack_views(split: Columns, rows=None) -> np.ndarray:
 
 
 def stack_labels(split: Columns, rows=None) -> np.ndarray:
-    """(b, C) float64 labels of `rows` (default: every row)."""
-    return (split.labels if rows is None else split.labels[rows]).astype(np.float64)
+    """(b, C) float64 labels of `rows` (default: every row); a view of `labels`
+    when they are float64 already and `rows` is a slice or None."""
+    return np.asarray(split.labels if rows is None else split.labels[rows], dtype=np.float64)
 
 
 def write_features(split: DatasetSplit, out_dir) -> Path:
@@ -312,8 +314,9 @@ def generate_synthetic(cfg: SynthConfig) -> DatasetSplit:
     )
 
 
-def batches(split: Columns, batch_size: int, seed: int, epoch: int):
-    """Epoch-seeded shuffle, then the row indices of each full batch.
+def epoch_rows(split: Columns, batch_size: int, seed: int, epoch: int) -> np.ndarray:
+    """Epoch-seeded shuffle, cut into full batches: a (steps, batch_size) array
+    whose row i holds the split's row indices of batch i.
 
     A ragged tail is dropped, which keeps the lambda-block slicing
     consistent across the whole epoch.
@@ -322,7 +325,11 @@ def batches(split: Columns, batch_size: int, seed: int, epoch: int):
         raise ValueError("batch_size must be >= 2")
     if batch_size > len(split):
         raise ValueError(f"batch_size {batch_size} exceeds split size {len(split)}")
-    rng = np.random.default_rng((seed, epoch))
-    order = rng.permutation(len(split))
-    for start in range(0, len(split) - batch_size + 1, batch_size):
-        yield order[start:start + batch_size]
+    order = np.random.default_rng((seed, epoch)).permutation(len(split))
+    steps = len(split) // batch_size
+    return order[:steps * batch_size].reshape(steps, batch_size)
+
+
+def batches(split: Columns, batch_size: int, seed: int, epoch: int):
+    """The rows of epoch_rows(split, batch_size, seed, epoch), one batch at a time."""
+    yield from epoch_rows(split, batch_size, seed, epoch)

@@ -5,7 +5,8 @@ rows; the inner-product matrix between the two slices drives a softplus
 metric term whose dissimilar-pair weight w_d keeps repulsive gradient alive
 even when the similarity indicator is zero. The quantization term pulls
 each code component's magnitude toward 1 so that sign-thresholding at
-inference loses little.
+inference loses little. As in net.py, products use np.dot, which dispatches
+faster than `@` on small blocks.
 """
 
 from dataclasses import dataclass
@@ -99,30 +100,35 @@ def _quantization(H: np.ndarray, m: int):
     return float(total / b), g
 
 
-def total_loss(H: np.ndarray, labels, cfg: LossConfig, metric_weight: float = 1.0):
+def total_loss(H: np.ndarray, labels, cfg: LossConfig, metric_weight: float = 1.0,
+               sim: np.ndarray = None):
     """Metric + mu * quantization; returns (loss, dH) over the whole batch.
 
     Both terms cover only the blocks H[:m] and H[b-m:], which are disjoint
     because m = int(lam*b) <= b/2; rows between them get zero gradient. The
     quantization term sums || |h| - 1 ||_2 over the 2m block rows and divides
     by b, not 2m. metric_weight exists for the ablation that removes the
-    metric term entirely (set it to 0).
+    metric term entirely (set it to 0). sim, when given, is the (m, m)
+    pairwise_similarity of labels[:m] and labels[b-m:], taken as it is.
     """
     H = np.asarray(H, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.float64)
     b = H.shape[0]
     if b < 2:
         raise ValueError("need a batch of at least 2 samples")
     m = cfg.block_size(b)
     prec, rest = H[:m], H[b - m:]
-    lm, d_phi = _metric(prec @ rest.T, pairwise_similarity(labels[:m], labels[b - m:]),
-                        cfg.w_d)
+    if sim is None:
+        labels = np.asarray(labels, dtype=np.float64)
+        sim = pairwise_similarity(labels[:m], labels[b - m:])
+    elif sim.shape != (m, m):
+        raise ShapeError(f"sim shape {sim.shape} != ({m}, {m})")
+    lm, d_phi = _metric(np.dot(prec, rest.T), sim, cfg.w_d)
     lq, dH = _quantization(H, m)
     dH *= cfg.mu
 
     loss = metric_weight * lm + cfg.mu * lq
     if metric_weight != 0.0:
-        dH[:m] += metric_weight * (d_phi @ rest)
-        dH[b - m:] += metric_weight * (d_phi.T @ prec)
+        dH[:m] += metric_weight * np.dot(d_phi, rest)
+        dH[b - m:] += metric_weight * np.dot(d_phi.T, prec)
     return loss, dH
 

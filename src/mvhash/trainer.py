@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import net as netmod
-from .data import (Columns, DatasetSplit, batches, check_fields, option, stack_labels,
-                   stack_views)
+from .data import (Columns, DatasetSplit, batches, check_fields, epoch_rows, option,
+                   stack_labels, stack_views)
 from .loss import LossConfig, total_loss
 from .net import ModelParams, NetConfig, binarize, forward_batch, init_params
 from .optim import OptimState, adamw_step, cosine_lr, init_optim
@@ -138,6 +138,22 @@ def _snapshot(params: ModelParams) -> ModelParams:
     return ModelParams(params.cfg, params.buf.copy())
 
 
+def _gather(split: Columns, rows: np.ndarray, m: int):
+    """An epoch's batches read once: (their rows as one float64 split, in batch
+    order; every batch's (m, m) block similarity from one batched matmul).
+
+    rows is epoch_rows' (steps, b) array. Batch i is rows i*b to (i+1)*b of
+    the split, and sims[i] is what pairwise_similarity gives for its first
+    and last m labels.
+    """
+    flat = rows.ravel()
+    block = Columns([split.ids[i] for i in flat], np.asarray(split.features[flat], np.float64),
+                    split.labels[flat].astype(np.float64))
+    labels = block.labels.reshape(*rows.shape, -1)
+    sims = (labels[:, :m] @ labels[:, -m:].transpose(0, 2, 1) > 0).astype(np.float64)
+    return block, sims
+
+
 def dropout_stream(seed: int) -> np.random.Generator:
     """The one Generator a training run draws its dropout masks from.
 
@@ -165,18 +181,22 @@ def train(dataset: DatasetSplit, cfg: TrainConfig) -> TrainResult:
 
     grads = ModelParams(net_cfg)  # overwritten by every backward pass
     rng = dropout_stream(cfg.seed)
+    b = cfg.batch_size
     records = []
     best_params, best_epoch, best_map = _snapshot(params), 0, -1.0
     for epoch in range(1, cfg.epochs + 1):
         t0 = time.perf_counter()
         losses = []
-        for bi, rows in enumerate(batches(dataset.train, cfg.batch_size,
-                                          cfg.seed, epoch)):
-            x = stack_views(dataset.train, rows)
-            h, tape = forward_batch(x, params, dropout_p=cfg.dropout_p, train_mode=True,
-                                    rng=rng, view_mask=view_mask, use_gating=use_gating)
-            loss, dH = total_loss(h, stack_labels(dataset.train, rows), loss_cfg,
-                                  metric_weight=metric_weight)
+        block, sims = _gather(dataset.train, epoch_rows(dataset.train, b, cfg.seed, epoch),
+                              loss_cfg.block_size(b))
+        # batches() yields the same rows, a step at a time; each step reads them from block
+        for bi, _ in enumerate(batches(dataset.train, b, cfg.seed, epoch)):
+            rows = slice(bi * b, (bi + 1) * b)
+            h, tape = forward_batch(stack_views(block, rows), params, dropout_p=cfg.dropout_p,
+                                    train_mode=True, rng=rng, view_mask=view_mask,
+                                    use_gating=use_gating)
+            loss, dH = total_loss(h, stack_labels(block, rows), loss_cfg,
+                                  metric_weight=metric_weight, sim=sims[bi])
             if not math.isfinite(loss):
                 raise RuntimeError(
                     f"non-finite loss {loss} at epoch {epoch}, batch {bi}"
@@ -290,6 +310,10 @@ def load_checkpoint(path) -> Checkpoint:
         raise ValueError(f"{path}: header config is not a JSON object ({config!r})")
     if has_optim and (type(step) is not int or step < 0):  # no bool, float, string or null
         raise ValueError(f"{path}: header optim.step is not a non-negative integer ({step!r})")
+    for name, shape in entries:  # exact, since 32.0 and True compare equal to 32 and 1
+        if any(type(d) is not int for d in shape):
+            raise ValueError(f"{path}: header tensor {name!r} shape is not a list of "
+                             f"integers ({list(shape)!r})")
     if entries != net_cfg.layout():
         raise ValueError(f"{path}: header tensors do not match the layout of {net_cfg}")
     n = net_cfg.num_params

@@ -350,6 +350,10 @@ class TestBatches:
         with pytest.raises(ValueError):
             list(batches(self.records(4), 8, seed=0, epoch=0))
 
+    def test_smallest_batch_size(self):
+        out = list(batches(self.records(5), 2, seed=0, epoch=0))
+        assert [len(b) for b in out] == [2, 2]
+
 
 def test_stack_views_shapes():
     split = tiny_split()

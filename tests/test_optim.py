@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -68,3 +70,47 @@ def test_cosine_schedule_endpoints():
     assert cosine_lr(1e-3, 0, 100) == pytest.approx(1e-3)
     assert cosine_lr(1e-3, 100, 100) == pytest.approx(0.0, abs=1e-18)
     assert cosine_lr(1e-3, 50, 100) == pytest.approx(5e-4)
+
+
+def textbook_adamw(theta, grads, lrs, b1, b2, eps, wd):
+    """Scalar AdamW over a list of per-step gradient lists, from zero moments:
+    theta -= lr * (m_hat / (sqrt(v_hat) + eps) + wd * theta)."""
+    theta = list(theta)
+    m, v = [0.0] * len(theta), [0.0] * len(theta)
+    for t, (g, lr) in enumerate(zip(grads, lrs), start=1):
+        for i, gi in enumerate(g):
+            m[i] = b1 * m[i] + (1.0 - b1) * gi
+            v[i] = b2 * v[i] + (1.0 - b2) * gi * gi
+            m_hat, v_hat = m[i] / (1.0 - b1 ** t), v[i] / (1.0 - b2 ** t)
+            theta[i] -= lr * (m_hat / (math.sqrt(v_hat) + eps) + wd * theta[i])
+    return theta, m, v
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 0.05])
+@pytest.mark.parametrize("schedule", ["constant", "cosine"])
+@pytest.mark.parametrize("beta2", [0.999, 0.0])
+def test_steps_match_textbook_reference(weight_decay, schedule, beta2):
+    steps, lr = 6, 1e-2
+    train_cfg = TrainConfig(lr=lr, beta2=beta2, weight_decay=weight_decay)
+    params = init_params(NetConfig((3, 2), 2, 3), 5)
+    rng = np.random.default_rng(6)
+    # gradients of both signs and of different scales, so every moment moves
+    grads = [rng.normal(size=params.buf.size) * rng.choice([1e-3, 1.0, 30.0])
+             for _ in range(steps)]
+    lrs = [cosine_lr(lr, s, steps) if schedule == "cosine" else lr for s in range(steps)]
+    want_theta, want_m, want_v = textbook_adamw(
+        params.buf.tolist(), [g.tolist() for g in grads], lrs,
+        train_cfg.beta1, beta2, train_cfg.eps, weight_decay)
+    state = init_optim(params)
+    for g, step_lr in zip(grads, lrs):
+        adamw_step(params, ModelParams(params.cfg, g), state, step_lr, train_cfg)
+    assert state.step == steps
+    np.testing.assert_allclose(params.buf, want_theta, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(state.m, want_m, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(state.v, want_v, rtol=1e-12, atol=0)
+
+
+def test_beta2_range_boundaries():
+    assert TrainConfig(beta2=0.0).beta2 == 0.0
+    with pytest.raises(ValueError, match="beta2 must be in"):
+        TrainConfig(beta2=1.0)

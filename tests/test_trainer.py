@@ -88,6 +88,29 @@ class TestTrain:
         assert "\n" not in str(info.value)
 
 
+class TestPinnedRun:
+    """Three epochs of the acceptance config, pinned to values of a reference run.
+
+    Any change to batching, the loss, the gradients or the optimizer moves
+    these far more than a relative 1e-9; other CPUs and BLAS kernels move
+    only the last bits.
+    """
+
+    def test_losses_and_final_parameters(self):
+        dataset = generate_synthetic(SynthConfig(
+            categories=4, views=2, view_dims=(32, 32), train_size=800,
+            retrieval_size=800, query_size=200, noise_sigma=0.1, seed=42))
+        result = train(dataset, TrainConfig(bits=16, proj_dim=32, epochs=3, batch_size=8,
+                                            eval_every=0, seed=0))
+        buf = result.params.buf
+        assert [r.loss for r in result.records] == pytest.approx(
+            [2.9424389728301126, 2.937491779904377, 2.9379916783247984], rel=1e-9, abs=0)
+        assert [buf.sum(), buf @ buf, buf[0], buf[-1]] == pytest.approx(
+            [-5.959564337266775, 49.52477507496742, 0.04754999927712833,
+             0.05310493743950095], rel=1e-9, abs=0)
+        assert result.optim_state.step == 300
+
+
 class TestDropoutStream:
     def test_evaluation_draws_nothing_from_it(self, tiny_dataset):
         # dropout on (0.1 by default): a periodic eval that drew from the
@@ -285,6 +308,16 @@ class TestCheckpointValidation:
         save_checkpoint(path, init_params(net_cfg, 0), net_cfg)
         rewrite_header(path, edit)
         assert_one_line_error(path)
+
+    @pytest.mark.parametrize("proj, shape", [(2, [2.0, 3.0]), (1, [True, 3])],
+                             ids=["float", "bool"])
+    def test_non_integer_tensor_shape_named(self, tmp_path, proj, shape):
+        # each entry compares equal to the stored dimension
+        net_cfg = NetConfig((3, 2), proj, 3)
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, init_params(net_cfg, 0), net_cfg)
+        rewrite_header(path, lambda h: h["tensors"][0].update(shape=shape))
+        assert "norm_w.0" in assert_one_line_error(path)
 
     @pytest.mark.parametrize("key, value", [
         ("view_dims", [3.9, 2]), ("view_dims", [3, True]), ("proj_dim", 2.0), ("code_bits", 3.0),
