@@ -1,4 +1,4 @@
-"""Shape errors and the numerically stable sigmoid."""
+"""Shape errors and the logistic function."""
 
 import numpy as np
 
@@ -10,10 +10,9 @@ class ShapeError(ValueError):
 
 
 def sigmoid(x) -> np.ndarray:
-    """Numerically stable logistic function: exp only of -|x|, so it never overflows.
-
-    1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, both from e = e^-|x|.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    """Logistic function as 0.5 * (1 + tanh(x / 2)); tanh saturates, so it never overflows."""
+    s = np.multiply(x, 0.5, dtype=np.float64)
+    np.tanh(s, out=s)
+    s += 1.0
+    s *= 0.5
+    return s

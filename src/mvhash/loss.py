@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ShapeError
+from .linalg import ShapeError, sigmoid
 
 __all__ = [
     "LossConfig",
@@ -66,14 +66,16 @@ def pairwise_similarity(labels_a, labels_b) -> np.ndarray:
 def _metric(phi: np.ndarray, sim: np.ndarray, w_d: float):
     """Mean of w_d*softplus(phi) - s*phi and its gradient in phi.
 
-    softplus(x) = max(x, 0) + log1p(e) and sigmoid(x) = [1 or e] / (1 + e)
-    share e = exp(-|x|), so neither overflows for large |x|.
+    softplus(x) = logaddexp(0, x) and its derivative, sigmoid, is computed
+    through tanh, so neither overflows for large |x|.
     """
     m2 = phi.size
-    e = np.exp(-np.abs(phi))
-    terms = w_d * (np.maximum(phi, 0.0) + np.log1p(e)) - sim * phi
-    d_phi = (w_d * (np.where(phi >= 0, 1.0, e) / (1.0 + e)) - sim) / m2
-    return float(np.add.reduce(terms, axis=None) / m2), d_phi
+    loss = (w_d * np.add.reduce(np.logaddexp(0.0, phi), axis=None) - np.vdot(sim, phi)) / m2
+    d_phi = sigmoid(phi)
+    d_phi *= w_d
+    d_phi -= sim
+    d_phi /= m2
+    return float(loss), d_phi
 
 
 def metric_loss(block: PairBlock, cfg: LossConfig):
@@ -81,22 +83,22 @@ def metric_loss(block: PairBlock, cfg: LossConfig):
     return _metric(block.phi, block.sim, cfg.w_d)
 
 
-def _quantization(H: np.ndarray, m: int):
+def _quantization(H: np.ndarray, m: int, scale: float):
     """(sum of || |h| - 1 ||_2 over the rows of H[:m] and H[b-m:], divided by b;
-    its gradient, zero on the rows between those blocks).
+    scale times its gradient, zero on the rows between those blocks).
 
     The subgradient at h_k = 0 and at zero residual norm is taken as 0.
     """
     b = H.shape[0]
-    resid = np.abs(H)
-    resid -= 1.0
-    norms = np.sqrt(np.add.reduce(resid * resid, axis=1))
-    total = np.add.reduce(np.concatenate((norms[:m], norms[b - m:])))
-    norms[m:b - m] = 0.0  # no gradient between the blocks
-    nonzero = (norms > 0)[:, None]
-    g = np.divide(resid, norms[:, None], out=np.zeros(resid.shape), where=nonzero)
-    np.multiply(g, np.sign(H), out=g, where=nonzero)
-    g /= b
+    g = np.abs(H)  # the residual |h| - 1, then the gradient
+    g -= 1.0
+    norms = np.sqrt(np.add.reduce(g * g, axis=1))
+    norms[m:b - m] = 0.0  # no loss or gradient between the blocks
+    total = np.add.reduce(norms)
+    # scale / (b * norm) per row, 0 where the norm is
+    row = np.divide(scale / b, norms, out=np.zeros_like(norms), where=norms > 0)
+    g *= np.sign(H)
+    g *= row[:, None]
     return float(total / b), g
 
 
@@ -116,19 +118,20 @@ def total_loss(H: np.ndarray, labels, cfg: LossConfig, metric_weight: float = 1.
     if b < 2:
         raise ValueError("need a batch of at least 2 samples")
     m = cfg.block_size(b)
-    prec, rest = H[:m], H[b - m:]
-    if sim is None:
-        labels = np.asarray(labels, dtype=np.float64)
-        sim = pairwise_similarity(labels[:m], labels[b - m:])
-    elif sim.shape != (m, m):
-        raise ShapeError(f"sim shape {sim.shape} != ({m}, {m})")
-    lm, d_phi = _metric(np.dot(prec, rest.T), sim, cfg.w_d)
-    lq, dH = _quantization(H, m)
-    dH *= cfg.mu
-
-    loss = metric_weight * lm + cfg.mu * lq
+    lq, dH = _quantization(H, m, cfg.mu)
+    loss = cfg.mu * lq
     if metric_weight != 0.0:
-        dH[:m] += metric_weight * np.dot(d_phi, rest)
-        dH[b - m:] += metric_weight * np.dot(d_phi.T, prec)
+        prec, rest = H[:m], H[b - m:]
+        if sim is None:
+            labels = np.asarray(labels, dtype=np.float64)
+            sim = pairwise_similarity(labels[:m], labels[b - m:])
+        elif sim.shape != (m, m):
+            raise ShapeError(f"sim shape {sim.shape} != ({m}, {m})")
+        lm, d_phi = _metric(np.dot(prec, rest.T), sim, cfg.w_d)
+        loss += metric_weight * lm
+        if metric_weight != 1.0:
+            d_phi *= metric_weight
+        dH[:m] += np.dot(d_phi, rest)
+        dH[b - m:] += np.dot(d_phi.T, prec)
     return loss, dH
 

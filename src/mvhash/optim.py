@@ -1,5 +1,6 @@
 """AdamW with decoupled weight decay, in place on flat parameter buffers."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,16 +34,18 @@ def adamw_step(params: ModelParams, grads: ModelParams, state: OptimState, lr: f
     """One decoupled-weight-decay Adam update, in place; returns (params, state).
 
     lr is this step's rate (the run's lr, or its schedule's value); cfg, the
-    run's TrainConfig, gives beta1, beta2, eps and weight_decay. The decay
-    term lr * wd * theta is applied outside the adaptive
-    m_hat / (sqrt(v_hat) + eps) rescaling. Each expression keeps the operand
-    order of theta - lr * (m_hat / (sqrt(v_hat) + eps) + wd * theta), so the
-    result is bit-identical to evaluating it out of place.
+    run's TrainConfig, gives beta1, beta2, eps and weight_decay. The update is
+    theta - lr * (m_hat / (sqrt(v_hat) + eps) + wd * theta), taken in the
+    scalar bias-correction form of Kingma & Ba (2015, section 2):
+    lr * c2 / (1 - beta1^t) * m / (sqrt(v) + eps * c2) with c2 = sqrt(1 - beta2^t),
+    which is equal in exact arithmetic and makes no pass dividing the
+    moments. The decay lr * wd * theta is taken from theta before the step.
     """
     t = state.step + 1
     b1, b2 = cfg.beta1, cfg.beta2
+    c2 = math.sqrt(1.0 - b2 ** t)
     theta, g, m, v = params.buf, grads.buf, state.m, state.v
-    tmp, upd = np.empty_like(theta), np.empty_like(theta)
+    tmp = np.empty_like(theta)
 
     m *= b1  # m = b1 * m + (1 - b1) * g
     m += np.multiply(g, 1.0 - b1, out=tmp)
@@ -51,14 +54,12 @@ def adamw_step(params: ModelParams, grads: ModelParams, state: OptimState, lr: f
     tmp *= g
     v += tmp
 
-    np.divide(v, 1.0 - b2 ** t, out=tmp)  # sqrt(v_hat) + eps
-    np.sqrt(tmp, out=tmp)
-    tmp += cfg.eps
-    np.divide(m, 1.0 - b1 ** t, out=upd)  # m_hat / (sqrt(v_hat) + eps) + wd * theta
-    upd /= tmp
-    if cfg.weight_decay:  # adding 0 * theta would change at most the sign of a zero
-        upd += np.multiply(theta, cfg.weight_decay, out=tmp)
-    upd *= lr
-    theta -= upd
+    np.sqrt(v, out=tmp)  # m / (sqrt(v) + eps * c2)
+    tmp += cfg.eps * c2
+    np.divide(m, tmp, out=tmp)
+    tmp *= lr * c2 / (1.0 - b1 ** t)
+    if cfg.weight_decay:
+        theta *= 1.0 - lr * cfg.weight_decay
+    theta -= tmp
     state.step = t
     return params, state
