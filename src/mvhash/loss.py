@@ -93,12 +93,15 @@ def _quantization(H: np.ndarray, m: int, scale: float):
     g = np.abs(H)  # the residual |h| - 1, then the gradient
     g -= 1.0
     norms = np.sqrt(np.add.reduce(g * g, axis=1))
-    norms[m:b - m] = 0.0  # no loss or gradient between the blocks
+    if 2 * m < b:  # the rows between the blocks add no loss and get no gradient
+        norms[m:b - m] = 0.0
+        g[m:b - m] = 0.0
     total = np.add.reduce(norms)
-    # scale / (b * norm) per row, 0 where the norm is
-    row = np.divide(scale / b, norms, out=np.zeros_like(norms), where=norms > 0)
+    # |h| - 1 is exact near |h| = 1, so a nonzero norm is at least 2**-53: the
+    # floor only turns a zero row's 0 / 0 into 0
+    g /= np.maximum(norms, 2.0 ** -60)[:, None]
     g *= np.sign(H)
-    g *= row[:, None]
+    g *= scale / b
     return float(total / b), g
 
 

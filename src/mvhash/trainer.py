@@ -189,7 +189,9 @@ def train(dataset: DatasetSplit, cfg: TrainConfig) -> TrainResult:
         losses = []
         block, sims = _gather(dataset.train, epoch_rows(dataset.train, b, cfg.seed, epoch),
                               loss_cfg.block_size(b))
-        # batches() yields the same rows, a step at a time; each step reads them from block
+        # batches() yields these rows a step at a time, and each step reads its slice
+        # of block. bench/tracing.py delimits a step by batches() and times
+        # stack_labels within it; total_loss, given sims[bi], does not read the labels.
         for bi, _ in enumerate(batches(dataset.train, b, cfg.seed, epoch)):
             rows = slice(bi * b, (bi + 1) * b)
             h, tape = forward_batch(stack_views(block, rows), params, dropout_p=cfg.dropout_p,
