@@ -55,12 +55,15 @@ class PairBlock:
 
 
 def pairwise_similarity(labels_a, labels_b) -> np.ndarray:
-    """Similarity matrix between two label sets: 1 iff any category is shared."""
+    """Similarity matrix between two label sets: 1 iff any category is shared.
+
+    Leading axes are batch axes: (..., m, C) and (..., n, C) give (..., m, n).
+    """
     a = np.asarray(labels_a, dtype=np.float64)
     b = np.asarray(labels_b, dtype=np.float64)
     if a.shape[-1] != b.shape[-1]:
         raise ShapeError(f"category counts differ: {a.shape[-1]} vs {b.shape[-1]}")
-    return (a @ b.T > 0).astype(np.float64)
+    return (a @ np.swapaxes(b, -1, -2) > 0).astype(np.float64)
 
 
 def _metric(phi: np.ndarray, sim: np.ndarray, w_d: float):

@@ -19,7 +19,7 @@ import numpy as np
 from . import net as netmod
 from .data import (Columns, DatasetSplit, batches, check_fields, epoch_rows, option,
                    stack_labels, stack_views)
-from .loss import LossConfig, total_loss
+from .loss import LossConfig, pairwise_similarity, total_loss
 from .net import ModelParams, NetConfig, binarize, forward_batch, init_params
 from .optim import OptimState, adamw_step, cosine_lr, init_optim
 from .retrieval import build_index, evaluate
@@ -143,15 +143,13 @@ def _gather(split: Columns, rows: np.ndarray, m: int):
     order; every batch's (m, m) block similarity from one batched matmul).
 
     rows is epoch_rows' (steps, b) array. Batch i is rows i*b to (i+1)*b of
-    the split, and sims[i] is what pairwise_similarity gives for its first
-    and last m labels.
+    the split, and sims[i] is the similarity of its first and last m labels.
     """
     flat = rows.ravel()
     block = Columns([split.ids[i] for i in flat], np.asarray(split.features[flat], np.float64),
                     split.labels[flat].astype(np.float64))
     labels = block.labels.reshape(*rows.shape, -1)
-    sims = (labels[:, :m] @ labels[:, -m:].transpose(0, 2, 1) > 0).astype(np.float64)
-    return block, sims
+    return block, pairwise_similarity(labels[:, :m], labels[:, -m:])
 
 
 def dropout_stream(seed: int) -> np.random.Generator:

@@ -58,6 +58,14 @@ class TestPairwiseSimilarity:
     def test_multi_label_binarized(self):
         assert pairwise_similarity([[1, 1, 0]], [[1, 1, 0]])[0, 0] == 1.0
 
+    def test_leading_axes_batch(self):
+        rng = np.random.default_rng(5)
+        a, b = (rng.integers(0, 2, size=(6, 3, 4)) for _ in range(2))
+        stacked = pairwise_similarity(a, b)
+        assert stacked.shape == (6, 3, 3)
+        for i in range(6):
+            assert np.array_equal(stacked[i], pairwise_similarity(a[i], b[i]))
+
     def test_category_count_mismatch(self):
         with pytest.raises(ShapeError):
             pairwise_similarity([[1, 0]], [[1, 0, 0]])
