@@ -139,12 +139,9 @@ def _snapshot(params: ModelParams) -> ModelParams:
 
 
 def _gather(split: Columns, rows: np.ndarray, m: int):
-    """An epoch's batches read once: (their rows as one float64 split, in batch
-    order; every batch's (m, m) block similarity from one batched matmul).
-
-    rows is epoch_rows' (steps, b) array. Batch i is rows i*b to (i+1)*b of
-    the split, and sims[i] is the similarity of its first and last m labels.
-    """
+    """Read an epoch's batches once. rows is epoch_rows' (steps, b) array; returns
+    (the rows as one float64 split, in batch order; sims, with sims[i] the
+    similarity of batch i's first and last m labels, from one batched product)."""
     flat = rows.ravel()
     block = Columns([split.ids[i] for i in flat], np.asarray(split.features[flat], np.float64),
                     split.labels[flat].astype(np.float64))

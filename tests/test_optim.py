@@ -108,9 +108,3 @@ def test_steps_match_textbook_reference(weight_decay, schedule, beta2):
     np.testing.assert_allclose(params.buf, want_theta, rtol=1e-12, atol=0)
     np.testing.assert_allclose(state.m, want_m, rtol=1e-12, atol=0)
     np.testing.assert_allclose(state.v, want_v, rtol=1e-12, atol=0)
-
-
-def test_beta2_range_boundaries():
-    assert TrainConfig(beta2=0.0).beta2 == 0.0
-    with pytest.raises(ValueError, match="beta2 must be in"):
-        TrainConfig(beta2=1.0)

@@ -78,7 +78,7 @@ class TestTrain:
         ("bits", "16"), ("bits", 16.5), ("bits", True), ("epochs", None),
         ("seed", 1.0), ("lr", "1e-3"), ("lr", True), ("mu", float("nan")),
         ("weight_decay", float("inf")), ("dropout_p", [0.1]), ("lr", 10**400),
-        ("ablation", "nonsense"), ("ablation", 3), ("lr_schedule", "linear"),
+        ("ablation", "nonsense"), ("ablation", 3), ("lr_schedule", "linear"), ("beta2", 1.0),
     ])
     def test_bad_value_rejected_at_construction(self, field, value):
         with pytest.raises(ValueError) as info:
@@ -86,6 +86,13 @@ class TestTrain:
         assert str(info.value).startswith(f"{field} must be")
         assert repr(value) in str(info.value)
         assert "\n" not in str(info.value)
+
+    @pytest.mark.parametrize("field,value", [
+        ("epochs", 0), ("bits", 1), ("proj_dim", 1), ("batch_size", 2), ("dropout_p", 0.0),
+        ("beta1", 0.0), ("beta2", 0.0), ("weight_decay", 0.0), ("seed", 0), ("eval_every", 0),
+    ])
+    def test_boundary_value_accepted(self, field, value):
+        assert getattr(TrainConfig(**{field: value}), field) == value
 
 
 class TestPinnedRun:
