@@ -11,6 +11,8 @@ import sys
 from dataclasses import asdict, fields
 from pathlib import Path
 
+import numpy as np
+
 from .data import SPLITS, SynthConfig, generate_synthetic, load_features, write_features
 from .gradcheck import REL_TOL, run_gradcheck
 from .net import binarize
@@ -40,7 +42,7 @@ def _add_config_flags(p, cls):
         shown = ",".join(map(str, f.default)) if f.type is tuple else f.default
         p.add_argument(_flag(f), dest=f.name, type=f.type if f.type in (int, float) else None,
                        choices=f.metadata.get("choices"),
-                       help=f"{f.metadata['help']} (default {shown})")
+                       help=f.metadata["help"] + ("" if shown is None else f" (default {shown})"))
 
 
 def _flag_values(cls, args) -> dict:
@@ -75,7 +77,7 @@ def _train_config(args) -> TrainConfig:
 
 def cmd_synth(args) -> int:
     cfg = SynthConfig(**_flag_values(SynthConfig, args))
-    split = generate_synthetic(cfg)
+    split = generate_synthetic(cfg, np.float32)  # the file's dtype, drawn in place
     manifest = write_features(split, args.out)
     (Path(args.out) / "synth_config.json").write_text(
         json.dumps(asdict(cfg), indent=2) + "\n")

@@ -98,7 +98,8 @@ def check_fields(cfg, rules):
 @dataclass(frozen=True)
 class SynthConfig:
     categories: int = option(4, "number of categories C")
-    views: int = option(2, "number of views")
+    views: int = option(None, "number of views, checked against --view-dims when given "
+                              "(default: one per view dim)")
     view_dims: tuple = option((16, 16), "comma-separated per-view dims")
     train_size: int = option(800, "training split records")
     retrieval_size: int = option(800, "retrieval split records")
@@ -108,11 +109,17 @@ class SynthConfig:
     seed: int = option(0, "RNG seed")
 
     def __post_init__(self):
+        if self.views is None:  # one view per dim; 0 lets a non-tuple fail as view_dims
+            object.__setattr__(self, "views",
+                               len(self.view_dims) if type(self.view_dims) is tuple else 0)
         check_fields(self, lambda: (
             *((name, getattr(self, name) >= 1, ">= 1") for name in
-              ("categories", "views", "train_size", "retrieval_size", "query_size")),
-            ("view_dims", len(self.view_dims) == self.views
-             and all(type(d) is int and d >= 1 for d in self.view_dims),
+              ("categories", "train_size", "retrieval_size", "query_size")),
+            ("view_dims", self.view_dims and all(type(d) is int and d >= 1
+                                                 for d in self.view_dims),
+             "one or more positive integers"),
+            ("views", self.views >= 1, ">= 1"),
+            ("view_dims", len(self.view_dims) == self.views,
              f"one positive integer for each of {self.views} views"),
             ("noise_sigma", self.noise_sigma > 0, "> 0"),
             ("multi_label_p", 0.0 <= self.multi_label_p <= 1.0, "in [0, 1]"),
@@ -145,10 +152,10 @@ def write_features(split: DatasetSplit, out_dir) -> Path:
         cols = getattr(split, name)
         feat_file = f"{name}.f32"
         rec_file = f"{name}.csv"
-        cols.features.astype("<f4").tofile(out / feat_file)
+        np.asarray(cols.features, "<f4").tofile(out / feat_file)  # no copy when float32
         chars = (cols.labels != 0).view(np.uint8) + ord("0")
         bits = chars.view(f"S{split.categories}").ravel().astype(str)
-        with open(out / rec_file, "w", newline="") as fh:
+        with open(out / rec_file, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["id", "label"])
             writer.writerows(zip(cols.ids, bits.tolist()))
@@ -162,37 +169,42 @@ def write_features(split: DatasetSplit, out_dir) -> Path:
     return manifest_path
 
 
-def _reject(name, ids, bad, problem):
-    """Raise for the first row flagged in `bad`, naming the split and the record id."""
+def _reject(file, name, ids, bad, problem):
+    """Raise for the first row flagged in `bad`, naming the file, the split and the record id."""
     if bad.any():
         i = int(np.argmax(bad))
-        raise DatasetError(f"split {name!r}, record {ids[i]!r}: {problem(i)}")
+        raise DatasetError(f"{file}: split {name!r}, record {ids[i]!r}: {problem(i)}")
 
 
 def _read_records(name, rec_path, count, categories):
     """(ids, (count, C) int8 labels) of a CSV sidecar, checked as whole arrays."""
-    with open(rec_path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    try:
+        with open(rec_path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as e:
+        raise DatasetError(f"{rec_path}: split {name!r}: {e}") from None
     if rows[:1] != [["id", "label"]]:
-        raise DatasetError(f"split {name!r}: bad header in {rec_path.name}")
+        raise DatasetError(f"{rec_path}: split {name!r}: bad header")
     rows = rows[1:]
     widths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
     if (widths != 2).any():
-        raise DatasetError(f"split {name!r}: malformed row {int(np.argmax(widths != 2)) + 2}")
+        raise DatasetError(f"{rec_path}: split {name!r}: "
+                           f"malformed row {int(np.argmax(widths != 2)) + 2}")
     ids, bits = map(list, zip(*rows)) if rows else ([], [])
     if len(ids) != count:  # name the first record past the count, or the last one
         edge = f" (at record {ids[min(count, len(ids) - 1)]!r})" if ids else ""
-        raise DatasetError(f"split {name!r}: {len(ids)} records in {rec_path.name}{edge}, "
+        raise DatasetError(f"{rec_path}: split {name!r}: {len(ids)} records{edge}, "
                            f"manifest declares {count}")
     first = np.unique(np.array(ids, dtype=str), return_index=True)[1]  # of each id
-    _reject(name, ids, np.isin(np.arange(count), first, invert=True), lambda i: "duplicate id")
-    # One column past C flags strings longer than C; shorter ones pad with 0.
-    chars = np.array(bits, dtype=f"<U{categories + 1}").view(np.uint32)
-    chars = chars.reshape(count, categories + 1)
-    ones = chars[:, :categories] == ord("1")
-    bad = (chars[:, categories] != 0) | ((chars[:, :categories] != ord("0")) & ~ones).any(axis=1)
-    _reject(name, ids, bad, lambda i: f"bad label string {bits[i]!r}")
-    _reject(name, ids, ~ones.any(axis=1), lambda i: "no category set")
+    _reject(rec_path, name, ids, np.isin(np.arange(count), first, invert=True),
+            lambda i: "duplicate id")
+    # Lengths from Python: numpy's str dtype drops trailing NULs, so "010\0" would read as "010".
+    lengths = np.fromiter(map(len, bits), dtype=np.int64, count=count)
+    chars = np.array(bits, dtype=f"<U{categories}").view(np.uint32).reshape(count, categories)
+    ones = chars == ord("1")
+    bad = (lengths != categories) | ((chars != ord("0")) & ~ones).any(axis=1)
+    _reject(rec_path, name, ids, bad, lambda i: f"bad label string {bits[i]!r}")
+    _reject(rec_path, name, ids, ~ones.any(axis=1), lambda i: "no category set")
     return ids, ones.astype(np.int8)
 
 
@@ -209,8 +221,8 @@ def load_features(manifest_path, read=SPLITS) -> DatasetSplit:
     if not path.exists():
         raise DatasetError(f"manifest not found: {path}")
     try:
-        manifest = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise DatasetError(f"manifest {path} is not valid JSON: {e}") from e
 
     def require(table, key, where="", problem=lambda value: None):
@@ -256,28 +268,33 @@ def load_features(manifest_path, read=SPLITS) -> DatasetSplit:
 
         size = feat_path.stat().st_size
         if size != count * total_dim * 4:
-            raise DatasetError(f"split {name!r}: {feat_path.name} holds {size} bytes, "
-                               f"expected {count} x {total_dim} float32 values")
+            raise DatasetError(f"{feat_path}: split {name!r}: {size} bytes, manifest {path} "
+                               f"declares {count} x {total_dim} float32 values")
         counts.append(count)
         if name not in read:
             splits[name] = None
             continue
         ids, labels = _read_records(name, rec_path, count, categories)
         feats = np.fromfile(feat_path, "<f4").reshape(count, total_dim)
-        _reject(name, ids, ~np.isfinite(feats).all(axis=1), lambda i: "non-finite feature values")
+        _reject(feat_path, name, ids, ~np.isfinite(feats).all(axis=1),
+                lambda i: "non-finite feature values")
         splits[name] = Columns(ids, feats, labels)
 
     if not all(counts):
-        raise DatasetError("all three splits must be non-empty")
+        raise DatasetError(f"manifest {path}: all three splits must be non-empty")
     return DatasetSplit(**splits, view_dims=view_dims, categories=categories)
 
 
-def generate_synthetic(cfg: SynthConfig) -> DatasetSplit:
+def generate_synthetic(cfg: SynthConfig, dtype=np.float64) -> DatasetSplit:
     """Clustered multi-view features: per-category unit anchors plus Gaussian noise.
 
     A sample's per-view feature is the mean of its categories' anchors for
     that view plus N(0, sigma^2) noise. Multi-label samples (two categories)
     are drawn with probability multi_label_p. Deterministic under seed.
+
+    Every value is computed in float64 and rounded once into a `dtype` row,
+    so float32 features equal the float64 ones cast to float32, at half
+    their memory.
     """
     rng = np.random.default_rng(cfg.seed)
     draws = [rng.normal(size=(cfg.categories, d)) for d in cfg.view_dims]
@@ -293,7 +310,7 @@ def generate_synthetic(cfg: SynthConfig) -> DatasetSplit:
         # optional second category, then its noise: one normal() call over
         # all views draws the same stream as one call per view.
         labels = np.zeros((count, cfg.categories), dtype=np.int8)
-        feats = np.empty((count, anchors.shape[1]))
+        feats = np.empty((count, anchors.shape[1]), dtype=dtype)
         for i in range(count):
             p, e = rng.integers(cfg.categories), -1
             if cfg.categories > 1 and rng.random() < cfg.multi_label_p:

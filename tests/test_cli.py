@@ -7,10 +7,12 @@ import io
 import json
 import operator
 import os
+import shutil
 import struct
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -90,6 +92,37 @@ class TestSynth:
         digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                    for name in SYNTH_DIGESTS}
         assert digests == SYNTH_DIGESTS
+
+    def test_views_default_to_the_view_dims(self, tmp_path):
+        assert main(["synth", "--out", str(tmp_path), "--view-dims", "3,4,2",
+                     "--train-size", "10", "--retrieval-size", "10", "--query-size", "4"]) == 0
+        assert json.loads((tmp_path / "synth_config.json").read_text())["views"] == 3
+        assert load_features(tmp_path).view_dims == (3, 4, 2)
+
+    def test_given_views_must_match_the_view_dims(self, tmp_path, capsys):
+        assert main(["synth", "--out", str(tmp_path / "d"), "--views", "2",
+                     "--view-dims", "3,4,2"]) == 1
+        assert capsys.readouterr().err == ("error: view_dims must be one positive integer for "
+                                           "each of 2 views, got (3, 4, 2)\n")
+        assert not (tmp_path / "d").exists()
+
+    def test_peak_memory_below_the_float64_features(self, tmp_path, capsys):
+        # The features are drawn into float32 rows and written without a copy,
+        # about 0.6x the float64 bytes here. A float64 draw, 18.4 MB at 9k x 256,
+        # plus a float32 copy of its largest split peaks at about 1.4x.
+        rows, dims = 9000, (128, 128)
+        float64_bytes = rows * sum(dims) * 8
+        tracemalloc.start()
+        try:
+            code = main(["synth", "--out", str(tmp_path), "--categories", "8",
+                         "--view-dims", ",".join(map(str, dims)), "--train-size", "6000",
+                         "--retrieval-size", "2500", "--query-size", "500",
+                         "--multi-label-p", "0.2", "--seed", "3"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 0.75 * float64_bytes, f"{peak / 1e6:.1f} MB"
 
 
 SYNTH_DIGESTS = {
@@ -461,6 +494,94 @@ class TestCorruptCheckpoint:
                     assert code == 1 and out == ""
                     lines = err.splitlines()
                     assert len(lines) == 1 and str(checkpoint) in lines[0]
+
+
+class TestCorruptDataset:
+    """One corruption of a dataset file: train, eval and search then give the clean
+    run's output, or exit 1 with one stderr line naming the corrupted file."""
+
+    COMMANDS = (["train", "--epochs", "1", "--batch-size", "8", "--bits", "8",
+                 "--proj-dim", "4", "--eval-every", "1", "--seed", "3"],
+                ["eval", "--cutoffs", "5"], ["search", "-k", "3"])
+    # each edit leaves the row invalid: a changed id or label would be valid data
+    CSV_EDITS = ("non-utf8", "extra field", "drop field", "label char", "clear label",
+                 "drop row", "repeat row")
+
+    def run(self, command, data, checkpoint, tmp):
+        """(exit code, stdout, stderr) of one cli.main call."""
+        where = (["--out", str(Path(tmp) / "run")] if command[0] == "train"
+                 else ["--checkpoint", str(checkpoint)])
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command[0], "--data", str(data), *where, *command[1:]])
+        return code, out.getvalue(), err.getvalue()
+
+    @pytest.fixture(scope="class")
+    def clean(self, dataset_dir, run_dir, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("clean")
+        runs = [self.run(c, dataset_dir, run_dir / "checkpoint.bin", tmp) for c in self.COMMANDS]
+        assert [code for code, _, _ in runs] == [0, 0, 0]
+        return runs
+
+    def mangle_csv(self, draw, raw):
+        """`raw` with one line (the header included) made invalid."""
+        lines = raw.split(b"\r\n")
+        assert lines[-1] == b""
+        i = draw.draw(st.integers(0, len(lines) - 2))
+        line, edit = lines[i], draw.draw(st.sampled_from(self.CSV_EDITS))
+        ident, _, label = line.partition(b",")
+        if edit == "non-utf8":  # between ASCII bytes, any byte >= 0x80 is invalid UTF-8
+            at = draw.draw(st.integers(0, len(line)))
+            new = [line[:at] + bytes([draw.draw(st.integers(0x80, 0xFF))]) + line[at:]]
+        elif edit == "extra field":
+            new = [line + b"," + draw.draw(st.text(max_size=4)).encode()]
+        elif edit == "drop field":
+            new = [ident]
+        elif edit == "label char":
+            at = draw.draw(st.integers(0, len(label) - 1))
+            char = draw.draw(st.characters(codec="utf-8", exclude_characters="01")).encode()
+            new = [ident + b"," + label[:at] + char + label[at + 1:]]
+        elif edit == "clear label":
+            new = [ident + b"," + b"0" * len(label)]
+        else:
+            new = [] if edit == "drop row" else [line, line]
+        return b"\r\n".join(lines[:i] + new + lines[i + 1:])
+
+    @settings(max_examples=100, deadline=None)
+    @given(draw=st.data())
+    def test_clean_output_or_one_line_naming_the_file(self, clean, dataset_dir, run_dir, draw):
+        kind = draw.draw(st.sampled_from(["delete", "retype", "csv", "cut", "pad"]))
+        split = draw.draw(st.sampled_from(mvhash.data.SPLITS))
+        with tempfile.TemporaryDirectory() as tmp:
+            data = Path(tmp) / "data"
+            shutil.copytree(dataset_dir, data)
+            if kind in ("delete", "retype"):
+                path = data / "manifest.json"
+                manifest = json.loads(path.read_text())
+                *at, key = draw.draw(st.sampled_from(list(json_paths(manifest))))
+                parent = functools.reduce(operator.getitem, at, manifest)
+                if kind == "delete":
+                    del parent[key]
+                else:
+                    old = type(parent[key])
+                    parent[key] = draw.draw(JSON_VALUES.filter(lambda v: type(v) is not old))
+                path.write_text(json.dumps(manifest))
+            elif kind == "csv":
+                path = data / f"{split}.csv"
+                path.write_bytes(self.mangle_csv(draw, path.read_bytes()))
+            else:
+                path = data / f"{split}.f32"
+                raw = path.read_bytes()
+                path.write_bytes(raw[:-draw.draw(st.integers(1, len(raw)))] if kind == "cut"
+                                 else raw + draw.draw(st.binary(min_size=1, max_size=64)))
+            for command, clean_run in zip(self.COMMANDS, clean):
+                code, out, err = self.run(command, data, run_dir / "checkpoint.bin", tmp)
+                if code == 0:
+                    assert (out, err) == clean_run[1:]
+                else:
+                    assert code == 1 and out == ""
+                    lines = err.splitlines()
+                    assert len(lines) == 1 and str(path) in lines[0]
 
 
 class TestGradcheck:

@@ -121,7 +121,7 @@ class TestErrorNamesFirstBadRecord:
         assert "'retrieval'" in err and "'r1'" in err and "non-finite" in err
         assert "'r0'" not in err and "'r2'" not in err
 
-    @pytest.mark.parametrize("bits", ["1x", "100", "1", "", "1 "])
+    @pytest.mark.parametrize("bits", ["1x", "100", "1", "", "1 ", "10\0"])
     def test_bad_label_string(self, tmp_path, bits):
         write_features(tiny_split(), tmp_path)
         rewrite_csv(tmp_path, "train", lambda t: t.replace("t1,10", f"t1,{bits}"))
@@ -160,6 +160,57 @@ class TestErrorNamesFirstBadRecord:
         write_features(tiny_split(), tmp_path)
         rewrite_csv(tmp_path, "train", lambda t: t.replace("t1,10", "t1,10,x"))
         assert "malformed row 3" in self.load_error(tmp_path)
+
+
+class TestErrorsNameTheFile:
+    """Every load error is one line that names the file at fault."""
+
+    def load_error(self, tmp_path):
+        with pytest.raises(DatasetError) as info:
+            load_features(tmp_path)
+        message = str(info.value)
+        assert "\n" not in message
+        return message
+
+    @pytest.mark.parametrize("name", ["manifest.json", "train.csv", "query.csv"])
+    def test_non_utf8_byte(self, tmp_path, name):
+        write_features(tiny_split(), tmp_path)
+        path = tmp_path / name
+        raw = path.read_bytes()
+        path.write_bytes(raw[:20] + b"\xff" + raw[20:])
+        err = self.load_error(tmp_path)
+        assert str(path) in err and "can't decode byte 0xff" in err
+
+    @pytest.mark.parametrize("name, edit, problem", [
+        ("train.csv", lambda t: t.replace("t1,10", "t1,10,x"), "malformed row 3"),
+        ("train.csv", lambda t: t.replace("t1,10", "t1,1x"), "bad label string"),
+        ("train.csv", lambda t: t.replace("t2,01", "t2,00"), "no category set"),
+        ("retrieval.csv", lambda t: t.replace("r2,", "r1,"), "duplicate id"),
+        ("query.csv", lambda t: t + "q2,10\n", "declares 2"),
+        ("query.csv", lambda t: t.replace("id,", "ID,"), "bad header"),
+    ])
+    def test_bad_record(self, tmp_path, name, edit, problem):
+        write_features(tiny_split(), tmp_path)
+        path = tmp_path / name
+        path.write_text(edit(path.read_text()))
+        err = self.load_error(tmp_path)
+        assert str(path) in err and problem in err
+
+    def test_non_finite_features(self, tmp_path):
+        write_features(tiny_split(), tmp_path)
+        path = tmp_path / "query.f32"
+        raw = np.fromfile(path, dtype="<f4")
+        raw[8] = np.inf
+        raw.tofile(path)
+        err = self.load_error(tmp_path)
+        assert str(path) in err and "'q1'" in err and "non-finite" in err
+
+    def test_feature_file_size_names_the_manifest_too(self, tmp_path):
+        manifest = write_features(tiny_split(), tmp_path)
+        path = tmp_path / "train.f32"
+        path.write_bytes(path.read_bytes() + b"\0" * 4)
+        err = self.load_error(tmp_path)
+        assert str(path) in err and str(manifest) in err and "3 x 7 float32" in err
 
 
 @settings(max_examples=40, deadline=None)
