@@ -11,8 +11,6 @@ import sys
 from dataclasses import asdict, fields
 from pathlib import Path
 
-import numpy as np
-
 from .data import SPLITS, SynthConfig, generate_synthetic, load_features, write_features
 from .gradcheck import REL_TOL, run_gradcheck
 from .net import binarize
@@ -77,7 +75,7 @@ def _train_config(args) -> TrainConfig:
 
 def cmd_synth(args) -> int:
     cfg = SynthConfig(**_flag_values(SynthConfig, args))
-    split = generate_synthetic(cfg, np.float32)  # the file's dtype, drawn in place
+    split = generate_synthetic(cfg, "<f4")  # the file's dtype, so written without a copy
     manifest = write_features(split, args.out)
     (Path(args.out) / "synth_config.json").write_text(
         json.dumps(asdict(cfg), indent=2) + "\n")

@@ -5,6 +5,9 @@ little-endian float32 tensor file (one row per record, views concatenated
 in order) and a CSV sidecar with the record id and its multi-hot label as
 a bitstring. In memory a split is columnar: the ids, one (N, D) feature matrix
 (float32 as loaded; the network widens each batch) and one (N, C) int8 label matrix.
+Synthetic features are float64 in memory, or float32 when drawn to be written:
+each value is rounded once from float64, so the file's bytes are the same.
+Every load error is one DatasetError line naming the file at fault.
 """
 
 import csv
