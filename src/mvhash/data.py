@@ -295,9 +295,9 @@ def generate_synthetic(cfg: SynthConfig, dtype=np.float64) -> DatasetSplit:
     that view plus N(0, sigma^2) noise. Multi-label samples (two categories)
     are drawn with probability multi_label_p. Deterministic under seed.
 
-    Every value is computed in float64 and rounded once into a `dtype` row,
-    so float32 features equal the float64 ones cast to float32, at half
-    their memory.
+    Every value is computed in float64 and rounded once to `dtype`, so
+    float32 features equal the float64 ones cast to float32, at half their
+    memory.
     """
     rng = np.random.default_rng(cfg.seed)
     draws = [rng.normal(size=(cfg.categories, d)) for d in cfg.view_dims]
