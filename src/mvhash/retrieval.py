@@ -61,7 +61,7 @@ class HashCode:
 
 
 def _check_signs(codes, what):
-    if not np.all(np.abs(codes) == 1):
+    if not (np.abs(codes) == 1).all():
         raise ShapeError(f"{what} must hold only +1/-1 entries")
 
 
@@ -159,13 +159,17 @@ def build_index(codes, ids, labels) -> HammingIndex:
 def search(index: HammingIndex, query: HashCode, k: int):
     """Ids of the k nearest codes; ties break by ascending insertion position.
 
-    Only the U distinct codes are scanned. Every code holds at least one
-    row, so with t the smallest distance within which lie c = min(k, U)
-    codes, the k nearest rows all lie within t. Fewer than c codes lie
-    below t, and at t only the first c - |below| codes in first-row order
-    can contribute: any later code's rows follow one row of each of them.
-    No code contributes more than its first k rows. Those at most c * k
-    candidates are ordered by (distance, row) and cut to k.
+    Only the U distinct codes are scanned: the query's bytes, zero-padded,
+    are read as the index's uint64 words, and each word costs one XOR and
+    one popcount over a contiguous row of U words. Every code holds at
+    least one row, so with t the smallest distance within which lie
+    c = min(k, U) codes, the k nearest rows all lie within t. Fewer than c
+    codes lie below t, and at t only the first c - |below| codes in
+    first-row order can contribute: any later code's rows follow one row
+    of each of them. When exactly c codes lie within t, none is dropped and
+    that cut is skipped. No code contributes more than its first k rows.
+    Those at most c * k candidates are ordered by (distance, row) and cut
+    to k.
     """
     if not index.ids:
         raise RuntimeError("index is empty")
@@ -174,24 +178,29 @@ def search(index: HammingIndex, query: HashCode, k: int):
     if query.k != index.k:
         raise ShapeError(f"query has {query.k} bits, index stores {index.k}")
     distinct, members, starts = index.grouping
-    dist = _scan(distinct, _padded(np.frombuffer(query.words, dtype=np.uint8)[None],
-                                   np.uint64), index.k)[0]
+    q = np.frombuffer(query.words.ljust(8 * len(distinct), b"\0"), dtype=np.uint64)
+    dist = np.bitwise_count(distinct[0] ^ q[0])
+    if len(q) > 1:  # pad bits cancel under XOR, so no distance exceeds index.k
+        dist = dist.astype(np.min_scalar_type(index.k))
+        for w in range(1, len(q)):
+            dist += np.bitwise_count(distinct[w] ^ q[w])
     c = min(k, dist.size)
-    t = int(dist.min())
-    while np.count_nonzero(within := dist <= t) < c:
+    t = dist.min()
+    while (near := (dist <= t).nonzero()[0]).size < c:
         t += 1
-    near = np.flatnonzero(within)
-    at_t = dist[near] == t
-    below = near.size - np.count_nonzero(at_t)
-    near = near[~at_t | (np.cumsum(at_t) <= c - below)]  # every code below t, c - below at t
+    d = dist[near]
     # the first min(size, k) rows of each near code, keyed by (distance, row)
     lo = starts[near]
-    take = np.minimum(starts[near + 1] - lo, k)
-    ends = np.cumsum(take)
-    rows = members[np.repeat(lo - ends + take, take) + np.arange(ends[-1])]
+    take = np.minimum(starts[1:][near] - lo, k)
+    if near.size > c:  # rows only from the first c codes by (distance, position)
+        take[d.argsort(kind="stable")[c:]] = 0
+    ends = take.cumsum()
+    rows = members[(lo - ends + take).repeat(take) + np.arange(ends[-1])]
     n = len(index.ids)
-    key = np.repeat(dist[near].astype(np.intp) * n, take) + rows
-    return [index.ids[i] for i in (np.sort(key)[:k] % n).tolist()]
+    key = (d.astype(np.intp) * n).repeat(take)
+    key += rows
+    key.sort()
+    return [index.ids[i] for i in (key[:k] % n).tolist()]
 
 
 def average_precision(ranked_relevance, total_relevant: int, cutoff=None) -> float:
@@ -279,12 +288,12 @@ def evaluate(query_codes, query_ids, query_labels, index: HammingIndex,
                                              q_labels[s:s + _BLOCK], own[s:s + _BLOCK])
         order = np.argsort(dist, axis=1, kind="stable")
         for i, (rel_i, order_i) in enumerate(zip(rel, order), start=s):
-            hit = np.flatnonzero(rel_i.take(order_i))  # rank - 1 of each relevant item
+            hit = rel_i.take(order_i).nonzero()[0]  # rank - 1 of each relevant item
             # prec[m]: sum of precision@rank over the first m relevant items
             prec = np.zeros(hit.size + 1)
             np.divide(np.arange(1.0, hit.size + 1), hit + 1.0, out=prec[1:])
             np.add.accumulate(prec, out=prec)
-            top = np.searchsorted(hit, ends)  # relevant items within each cutoff
+            top = hit.searchsorted(ends)  # relevant items within each cutoff
             total = max(hit.size, 1)
             aps[i] = prec[-1] / total
             ap_at[i] = prec[top] / np.minimum(cut, total)

@@ -277,6 +277,28 @@ class TestValidation:
         with pytest.raises(ValueError, match="unique"):
             build_index(np.ones((2, 8)), ["a", "a"], np.ones((2, 1)))
 
+    @pytest.mark.parametrize("k", [0, -1, -50])
+    def test_search_k_below_one(self, k):
+        with pytest.raises(ValueError, match="^k must be >= 1$"):
+            search(self.index(), pack_code(np.ones(8, dtype=np.int8)), k)
+
+    @pytest.mark.parametrize("bits", [1, 7, 9, 16, 64, 72])  # same byte count, more words
+    def test_search_query_width(self, bits):
+        with pytest.raises(ShapeError, match=f"^query has {bits} bits, index stores 8$"):
+            search(self.index(), pack_code(np.ones(bits, dtype=np.int8)), 1)
+
+    @pytest.mark.parametrize("shape", [(), (1, 8), (2, 4), (8, 1)])
+    def test_pack_code_needs_a_vector(self, shape):
+        with pytest.raises(ShapeError, match="^expected a 1-D"):
+            pack_code(np.ones(shape, dtype=np.int8))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 2.0, -2.0, 0.5, 0.0])
+    def test_pack_code_only_signs(self, bad):
+        bits = np.ones(8)
+        bits[3] = bad
+        with pytest.raises(ShapeError, match=r"^a code must hold only \+1/-1 entries$"):
+            pack_code(bits)
+
 
 @st.composite
 def retrieval_cases(draw):
