@@ -185,7 +185,7 @@ def search(index: HammingIndex, query: HashCode, k: int):
         for w in range(1, len(q)):
             dist += np.bitwise_count(distinct[w] ^ q[w])
     c = min(k, dist.size)
-    t = dist.min()
+    t = dist.min()  # in dist's dtype, which holds index.k, the largest t can reach
     while (near := (dist <= t).nonzero()[0]).size < c:
         t += 1
     d = dist[near]
