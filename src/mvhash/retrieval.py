@@ -12,15 +12,18 @@ to uint64 words:
   relevant ranks.
 - per distinct code, built by the first search(): each of the U distinct codes
   once, in order of its first row, with the rows grouped by code. search()
-  scans only these U codes and finds the top k from the k-th smallest code
-  distance, without a pass over the rows. Trained codes repeat heavily (the
-  benchmark's 50k corpus holds 8,624 distinct codes), so this scan is several
-  times shorter; with all codes distinct it costs about 15% more.
+  scans only these U codes, one XOR and one popcount per word, and finds the
+  top k from the k-th smallest code distance, without a pass over the rows.
+  Trained codes repeat heavily (the benchmark's 50k corpus holds 8,624
+  distinct codes), so this scan is several times shorter; with all codes
+  distinct it costs about 15% more. Past the scan and its threshold, a
+  query costs about twenty numpy calls on the near codes and their rows,
+  about a third of its time at this size.
 
-With 50k items and K = 64, evaluate() takes about 0.46 ms per query
-(5-query calls) and search() about 0.09 ms, medians of ten benchmark runs
-on a 2-core Xeon with numpy 2.4. Relevance between a query and a corpus
-item means their multi-hot labels share at least one category.
+With 50k items and K = 64, evaluate() takes about 0.4 ms per query
+(5-query calls) and pack_code() + search() about 0.05 ms, medians of ten
+benchmark runs on a 2-core Xeon with numpy 2.4. Relevance between a query
+and a corpus item means their multi-hot labels share at least one category.
 """
 
 import csv
