@@ -282,7 +282,7 @@ class TestValidation:
         with pytest.raises(ValueError, match="^k must be >= 1$"):
             search(self.index(), pack_code(np.ones(8, dtype=np.int8)), k)
 
-    @pytest.mark.parametrize("bits", [1, 7, 9, 16, 64, 72])  # same byte count, more words
+    @pytest.mark.parametrize("bits", [1, 7, 9, 16, 64, 72])  # 1 and 7 fill one byte, as 8 does
     def test_search_query_width(self, bits):
         with pytest.raises(ShapeError, match=f"^query has {bits} bits, index stores 8$"):
             search(self.index(), pack_code(np.ones(bits, dtype=np.int8)), 1)
