@@ -7,7 +7,9 @@ a bitstring. In memory a split is columnar: the ids, one (N, D) feature matrix
 (float32 as loaded; the network widens each batch) and one (N, C) int8 label matrix.
 Synthetic features are float64 in memory, or float32 when drawn to be written:
 each value is rounded once from float64, so the file's bytes are the same.
-Every load error is one DatasetError line naming the file at fault.
+Every load error is one DatasetError line naming the file at fault. A CSV
+sidecar is parsed in one pass that stops at its first fault in file order;
+its count, ids and labels are then checked column by column.
 """
 
 import csv
@@ -46,12 +48,12 @@ class DatasetError(ValueError):
 class Columns:
     """One split: row i is record ids[i], features[i] and labels[i]."""
 
-    ids: list
+    ids: list  # None in a training block, which nothing looks up by id
     features: np.ndarray  # (N, D), views concatenated in order; float32 as loaded
     labels: np.ndarray  # (N, C) multi-hot; int8 as loaded or drawn
 
     def __len__(self) -> int:
-        return len(self.ids)
+        return len(self.features)
 
 
 @dataclass
@@ -180,27 +182,37 @@ def _reject(file, name, ids, bad, problem):
 
 
 def _read_records(name, rec_path, count, categories):
-    """(ids, (count, C) int8 labels) of a CSV sidecar, checked as whole arrays."""
+    """(ids, (count, C) int8 labels) of a CSV sidecar.
+
+    One pass of the reader checks the encoding, the quoting, the header and
+    each row's width, so the first of these faults in the file is the one
+    reported; the count, the ids and the labels are then checked as whole
+    columns, each naming its first bad record.
+    """
+    ids, bits = [], []
     try:
         with open(rec_path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
+            reader = csv.reader(fh)
+            if next(reader, None) != ["id", "label"]:
+                raise DatasetError(f"{rec_path}: split {name!r}: bad header")
+            for n, row in enumerate(reader, 2):
+                if len(row) != 2:
+                    raise DatasetError(f"{rec_path}: split {name!r}: malformed row {n}")
+                ids.append(row[0])
+                bits.append(row[1])
     except (UnicodeDecodeError, csv.Error) as e:
         raise DatasetError(f"{rec_path}: split {name!r}: {e}") from None
-    if rows[:1] != [["id", "label"]]:
-        raise DatasetError(f"{rec_path}: split {name!r}: bad header")
-    rows = rows[1:]
-    widths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-    if (widths != 2).any():
-        raise DatasetError(f"{rec_path}: split {name!r}: "
-                           f"malformed row {int(np.argmax(widths != 2)) + 2}")
-    ids, bits = map(list, zip(*rows)) if rows else ([], [])
     if len(ids) != count:  # name the first record past the count, or the last one
         edge = f" (at record {ids[min(count, len(ids) - 1)]!r})" if ids else ""
         raise DatasetError(f"{rec_path}: split {name!r}: {len(ids)} records{edge}, "
                            f"manifest declares {count}")
-    first = np.unique(np.array(ids, dtype=str), return_index=True)[1]  # of each id
-    _reject(rec_path, name, ids, np.isin(np.arange(count), first, invert=True),
-            lambda i: "duplicate id")
+    if len(set(ids)) != count:  # as Python strings: numpy's str dtype drops trailing NULs
+        seen = set()
+        for record in ids:
+            if record in seen:
+                raise DatasetError(f"{rec_path}: split {name!r}, record {record!r}: "
+                                   "duplicate id")
+            seen.add(record)
     # Lengths from Python: numpy's str dtype drops trailing NULs, so "010\0" would read as "010".
     lengths = np.fromiter(map(len, bits), dtype=np.int64, count=count)
     chars = np.array(bits, dtype=f"<U{categories}").view(np.uint32).reshape(count, categories)
@@ -208,7 +220,7 @@ def _read_records(name, rec_path, count, categories):
     bad = (lengths != categories) | ((chars != ord("0")) & ~ones).any(axis=1)
     _reject(rec_path, name, ids, bad, lambda i: f"bad label string {bits[i]!r}")
     _reject(rec_path, name, ids, ~ones.any(axis=1), lambda i: "no category set")
-    return ids, ones.astype(np.int8)
+    return ids, ones.view(np.int8)
 
 
 def load_features(manifest_path, read=SPLITS) -> DatasetSplit:

@@ -249,5 +249,7 @@ def backward_batch(tape: BatchTape, params: ModelParams, dH: np.ndarray,
 
 def binarize(h: np.ndarray) -> np.ndarray:
     """Sign-threshold continuous codes to {-1, +1}; the tie h == 0 maps to +1."""
-    h = np.asarray(h, dtype=np.float64)
-    return np.where(h >= 0.0, np.int8(1), np.int8(-1))
+    codes = (np.asarray(h, dtype=np.float64) >= 0.0).view(np.int8)  # 0 or 1, one byte a code
+    codes += codes
+    codes -= 1
+    return codes

@@ -143,7 +143,7 @@ def _gather(split: Columns, rows: np.ndarray, m: int):
     (the rows as one float64 split, in batch order; sims, with sims[i] the
     similarity of batch i's first and last m labels, from one batched product)."""
     flat = rows.ravel()
-    block = Columns([split.ids[i] for i in flat], np.asarray(split.features[flat], np.float64),
+    block = Columns(None, np.asarray(split.features[flat], np.float64),
                     split.labels[flat].astype(np.float64))
     labels = block.labels.reshape(*rows.shape, -1)
     return block, pairwise_similarity(labels[:, :m], labels[:, -m:])

@@ -1,5 +1,6 @@
 import json
 import shutil
+import sys
 
 import numpy as np
 import pytest
@@ -161,6 +162,15 @@ class TestErrorNamesFirstBadRecord:
         rewrite_csv(tmp_path, "train", lambda t: t.replace("t1,10", "t1,10,x"))
         assert "malformed row 3" in self.load_error(tmp_path)
 
+    def test_first_fault_in_file_order(self, tmp_path):
+        """A malformed row is reported before a bad byte the reader has not yet decoded."""
+        write_features(tiny_split(), tmp_path)
+        path = tmp_path / "train.csv"
+        raw = path.read_bytes().replace(b"t1,10", b"t1,10,x")
+        path.write_bytes(raw + b"pad,01\n" * 4000 + b"\xff,01\n")  # 28 KB past the fault
+        err = self.load_error(tmp_path)
+        assert "malformed row 3" in err and "decode" not in err
+
 
 class TestErrorsNameTheFile:
     """Every load error is one line that names the file at fault."""
@@ -195,6 +205,18 @@ class TestErrorsNameTheFile:
         path.write_text(edit(path.read_text()))
         err = self.load_error(tmp_path)
         assert str(path) in err and problem in err
+
+    def test_ids_differing_by_a_trailing_nul(self, tmp_path):
+        split = tiny_split()
+        split.train.ids[1] = "t0\0"
+        if sys.version_info >= (3, 11):  # ids compare as Python strings, NUL and all
+            write_features(split, tmp_path)
+            assert load_features(tmp_path).train.ids == ["t0", "t0\0", "t2"]
+        else:  # the csv module neither writes nor reads NUL before 3.11
+            write_features(tiny_split(), tmp_path)
+            rewrite_csv(tmp_path, "train", lambda t: t.replace("t1,", "t0\0,"))
+            err = self.load_error(tmp_path)
+            assert str(tmp_path / "train.csv") in err and "'train'" in err and "NUL" in err
 
     def test_non_finite_features(self, tmp_path):
         write_features(tiny_split(), tmp_path)

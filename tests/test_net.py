@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -314,3 +316,23 @@ class TestBinarize:
         h = np.array([0.2, -0.7, 0.0, -0.01])
         once = binarize(h)
         assert np.array_equal(binarize(once.astype(np.float64)), once)
+
+    def test_matches_sign_reference_and_leaves_input(self):
+        h = np.random.default_rng(0).normal(size=(40, 64))
+        h[0, :6] = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan]
+        before = h.copy()
+        codes = binarize(h)
+        assert codes.dtype == np.int8 and codes.shape == h.shape
+        assert np.array_equal(codes, np.where(h >= 0, 1, -1).astype(np.int8))
+        assert list(codes[0, :6]) == [1, 1, 1, -1, -1, -1]
+        assert np.array_equal(h, before, equal_nan=True)
+
+    def test_allocates_one_byte_a_code(self):
+        h = np.random.default_rng(1).normal(size=(256, 1024))
+        tracemalloc.start()
+        try:
+            binarize(h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= h.size + 4096

@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 from mvhash.data import SynthConfig, generate_synthetic, load_features, write_features
 from mvhash.net import NetConfig, init_params
 from mvhash.optim import init_optim
-from mvhash.trainer import (Checkpoint, EpochRecord, TrainConfig, codes_for, dropout_stream,
-                            export_curves, load_checkpoint, save_checkpoint, train)
+from mvhash.trainer import (Checkpoint, EpochRecord, TrainConfig, _gather, codes_for,
+                            dropout_stream, export_curves, load_checkpoint, save_checkpoint,
+                            train)
 
 
 @pytest.fixture(scope="module")
@@ -178,6 +179,14 @@ class TestFloat32Features:
             assert a.tobytes() == b.tobytes()
         assert ([(r.loss, r.test_map) for r in loaded.records]
                 == [(r.loss, r.test_map) for r in widened.records])
+
+
+def test_gather_reads_rows_in_batch_order(tiny_dataset):
+    rows = np.arange(40)[::-1].reshape(5, 8)
+    block, sims = _gather(tiny_dataset.train, rows, 4)
+    assert len(block) == rows.size and sims.shape == (5, 4, 4)
+    assert np.array_equal(block.features, tiny_dataset.train.features[rows.ravel()])
+    assert np.array_equal(block.labels, tiny_dataset.train.labels[rows.ravel()])
 
 
 class TestPipelineMapping:
