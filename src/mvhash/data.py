@@ -182,13 +182,8 @@ def _reject(file, name, ids, bad, problem):
 
 
 def _read_records(name, rec_path, count, categories):
-    """(ids, (count, C) int8 labels) of a CSV sidecar.
-
-    One pass of the reader checks the encoding, the quoting, the header and
-    each row's width, so the first of these faults in the file is the one
-    reported; the count, the ids and the labels are then checked as whole
-    columns, each naming its first bad record.
-    """
+    """(ids, (count, C) int8 labels) of a CSV sidecar: one pass of the reader checks the
+    encoding, quoting, header and row widths; then the count, ids and labels as columns."""
     ids, bits = [], []
     try:
         with open(rec_path, newline="", encoding="utf-8") as fh:
