@@ -286,8 +286,11 @@ def load_features(manifest_path, read=SPLITS) -> DatasetSplit:
             continue
         ids, labels = _read_records(name, rec_path, count, categories)
         feats = np.fromfile(feat_path, "<f4").reshape(count, total_dim)
-        _reject(feat_path, name, ids, ~np.isfinite(feats).all(axis=1),
-                lambda i: "non-finite feature values")
+        # A float64 sum of finite float32 values cannot overflow, and a NaN, an inf or
+        # +inf with -inf makes it non-finite: one value a row, no (N, D) mask.
+        with np.errstate(invalid="ignore", over="ignore"):
+            finite = np.isfinite(feats.sum(axis=1, dtype=np.float64))
+        _reject(feat_path, name, ids, ~finite, lambda i: "non-finite feature values")
         splits[name] = Columns(ids, feats, labels)
 
     if not all(counts):

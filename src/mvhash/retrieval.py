@@ -11,19 +11,26 @@ to uint64 words:
   small integers, and each query's AP comes from one prefix sum over its
   relevant ranks.
 - per distinct code, built by the first search(): each of the U distinct codes
-  once, in order of its first row, with the rows grouped by code. search()
-  scans only these U codes, one XOR and one popcount per word, and finds the
-  top k from the k-th smallest code distance, without a pass over the rows.
-  Trained codes repeat heavily (the benchmark's 50k corpus holds 8,624
-  distinct codes), so this scan is several times shorter; with all codes
-  distinct it costs about 15% more. Past the scan and its threshold, a
-  query costs about twenty numpy calls on the near codes and their rows,
-  about a third of its time at this size.
+  once, in order of its first row, with the rows grouped by code, and a
+  table from each code's zero-padded bytes to its number. search() first
+  looks the query's own code up in that table: when the code holds at least
+  k rows, its first k rows are the answer, with no scan. Otherwise it scans
+  only the U codes, one XOR and one popcount per word, and finds the top k
+  from the k-th smallest code distance, without a pass over the rows.
+  Trained codes repeat heavily: the benchmark's 50k corpus holds 8,624
+  distinct codes, 18 of which hold 81% of its rows, so about 80% of its
+  queries find 10 rows in their own code, and the scan is several times
+  shorter. With all codes distinct the lookup never answers at k > 1, the
+  scan costs about 15% more than a scan of the rows, and the table about
+  125 bytes a code. Past the scan and its threshold, a query costs about
+  twenty numpy calls on the near codes and their rows.
 
 With 50k items and K = 64, evaluate() takes about 0.4 ms per query
-(5-query calls) and pack_code() + search() about 0.05 ms, medians of ten
-benchmark runs on a 2-core Xeon with numpy 2.4. Relevance between a query
-and a corpus item means their multi-hot labels share at least one category.
+(5-query calls) and pack_code() + search() about 0.025 ms, medians of ten
+benchmark runs on a 2-core Xeon with numpy 2.4; a query that its own code
+answers takes about 5 us in search() and one that scans 40-60 us.
+Relevance between a query and a corpus item means their multi-hot labels
+share at least one category.
 """
 
 import csv
@@ -61,6 +68,8 @@ class HashCode:
     def __post_init__(self):
         if len(self.words) != (self.k + 7) // 8:
             raise ShapeError(f"{len(self.words)} bytes cannot hold {self.k} bits")
+        if self.words and self.words[-1] & ((1 << -self.k % 8) - 1):
+            raise ShapeError(f"a {self.k}-bit code must have its pad bits 0")
 
 
 def _check_signs(codes, what):
@@ -127,13 +136,24 @@ class HammingIndex:
         """(distinct, members, starts) of _group, built by the first search() and kept."""
         return _group(self.words)
 
+    @cached_property
+    def buckets(self) -> dict:
+        """Each distinct code's zero-padded bytes -> its column in grouping's distinct,
+        built by the first search() and kept."""
+        distinct = self.grouping[0]
+        return dict(zip(_as_void(distinct).tolist(), range(distinct.shape[1])))
+
+
+def _as_void(words):
+    """The columns of word-major codes (W, N) as N void scalars of their bytes."""
+    return words.T.copy().view(np.dtype((np.void, words.itemsize * len(words)))).ravel()
+
 
 def _group(words):
     """(distinct, members, starts) of word-major codes (W, N): distinct (W, U) holds
     each distinct code once, in order of its first row, and code u's rows, ascending,
     are members[starts[u]:starts[u + 1]]."""
-    flat = words.T.copy().view(np.dtype((np.void, words.itemsize * len(words)))).ravel()
-    _, first, inverse = np.unique(flat, return_index=True, return_inverse=True)
+    _, first, inverse = np.unique(_as_void(words), return_index=True, return_inverse=True)
     by_first = np.argsort(first)
     code = np.argsort(by_first)[inverse]  # each row's code number, in first-row order
     starts = np.zeros(by_first.size + 1, dtype=np.intp)
@@ -162,9 +182,17 @@ def build_index(codes, ids, labels) -> HammingIndex:
 def search(index: HammingIndex, query: HashCode, k: int):
     """Ids of the k nearest codes; ties break by ascending insertion position.
 
-    Only the U distinct codes are scanned: the query's bytes, zero-padded,
-    are read as the index's uint64 words, and each word costs one XOR and
-    one popcount over a contiguous row of U words. Every code holds at
+    First the query's own bucket: its bytes, zero-padded to whole words, are
+    looked up in index.buckets. Pad bits are zero in every HashCode and in
+    the index, so they match a code's key exactly when the codes are equal,
+    and the rows at distance 0 are exactly that code's rows. When it holds
+    at least k rows, no other row can rank above its first k, which members
+    lists in ascending order, the tie order: they are the answer, with no
+    scan.
+
+    Otherwise only the U distinct codes are scanned: the padded bytes are
+    read as the index's uint64 words, and each word costs one XOR and one
+    popcount over a contiguous row of U words. Every code holds at
     least one row, so with t the smallest distance within which lie
     c = min(k, U) codes, the k nearest rows all lie within t. Fewer than c
     codes lie below t, and at t only the first c - |below| codes in
@@ -181,7 +209,11 @@ def search(index: HammingIndex, query: HashCode, k: int):
     if query.k != index.k:
         raise ShapeError(f"query has {query.k} bits, index stores {index.k}")
     distinct, members, starts = index.grouping
-    q = np.frombuffer(query.words.ljust(8 * len(distinct), b"\0"), dtype=np.uint64)
+    padded = query.words.ljust(8 * len(distinct), b"\0")
+    u = index.buckets.get(padded)
+    if u is not None and starts[u + 1] - starts[u] >= k:
+        return [index.ids[i] for i in members[starts[u]:starts[u] + k].tolist()]
+    q = np.frombuffer(padded, dtype=np.uint64)
     dist = np.bitwise_count(distinct[0] ^ q[0])
     if len(q) > 1:  # pad bits cancel under XOR, so no distance exceeds index.k
         dist = dist.astype(np.min_scalar_type(index.k))

@@ -1,6 +1,7 @@
 import json
 import shutil
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,6 +97,35 @@ class TestValidation:
         raw.tofile(feat)
         with pytest.raises(DatasetError, match="q0"):
             load_features(tmp_path)
+
+
+    def test_largest_float32_values_accepted(self, tmp_path):
+        # their float32 sum overflows to inf; the check sums in float64
+        split = tiny_split()
+        split.query.features[1] = np.finfo(np.float32).max
+        write_features(split, tmp_path)
+        loaded = load_features(tmp_path)
+        assert np.all(loaded.query.features[1] == np.finfo(np.float32).max)
+
+    def test_finiteness_check_holds_no_mask_of_the_features(self, tmp_path):
+        # An (N, D) bool mask would add N * D bytes, a quarter of the features.
+        rows, dim = 2000, 2048
+
+        def cols(prefix, n, value):
+            return Columns([f"{prefix}{i}" for i in range(n)],
+                           np.full((n, dim), value, dtype=np.float32),
+                           np.eye(2, dtype=np.int8)[np.arange(n) % 2])
+        write_features(DatasetSplit(train=cols("t", 3, 0), retrieval=cols("r", rows, 1),
+                                    query=cols("q", 2, 0), view_dims=(dim - 3, 3),
+                                    categories=2), tmp_path)
+        tracemalloc.start()
+        try:
+            loaded = load_features(tmp_path, read=("retrieval",))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        feature_bytes = loaded.retrieval.features.nbytes
+        assert peak < feature_bytes + rows * dim // 8, f"{peak / 1e6:.2f} MB"
 
 
 def rewrite_csv(tmp_path, name, edit):
@@ -226,6 +256,17 @@ class TestErrorsNameTheFile:
         raw.tofile(path)
         err = self.load_error(tmp_path)
         assert str(path) in err and "'q1'" in err and "non-finite" in err
+
+    def test_opposite_infinities_in_one_row(self, tmp_path):
+        # +inf and -inf sum to NaN, so the row-sum check still rejects the row
+        write_features(tiny_split(), tmp_path)
+        path = tmp_path / "query.f32"
+        raw = np.fromfile(path, dtype="<f4")
+        raw[7:9] = [np.inf, -np.inf]
+        raw.tofile(path)
+        err = self.load_error(tmp_path)
+        assert str(path) in err and "'q1'" in err and "non-finite" in err
+        assert "'q0'" not in err
 
     def test_feature_file_size_names_the_manifest_too(self, tmp_path):
         manifest = write_features(tiny_split(), tmp_path)

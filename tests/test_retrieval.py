@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mvhash import retrieval
 from mvhash.linalg import ShapeError
-from mvhash.retrieval import (_BLOCK, EvalReport, average_precision, build_index,
+from mvhash.retrieval import (_BLOCK, EvalReport, HashCode, average_precision, build_index,
                               evaluate, hamming_distance, pack_code, search,
                               write_report_csv)
 
@@ -299,6 +300,22 @@ class TestValidation:
         with pytest.raises(ShapeError, match=r"^a code must hold only \+1/-1 entries$"):
             pack_code(bits)
 
+    @pytest.mark.parametrize("k", [1, 7, 10, 63, 130])
+    def test_pad_bits_must_be_zero(self, k):
+        words = bytearray(pack_code(np.ones(k, dtype=np.int8)).words)
+        words[-1] |= 1  # the last bit of the last byte, a pad bit unless k % 8 == 0
+        if k % 8 == 0:
+            assert HashCode(k, bytes(words)).words == bytes(words)
+        else:
+            with pytest.raises(ShapeError, match=f"^a {k}-bit code must have its pad bits 0$"):
+                HashCode(k, bytes(words))
+
+    def test_set_pad_bits_would_change_the_distance(self):
+        with pytest.raises(ShapeError):
+            HashCode(10, b"\xff\xff")
+        assert HashCode(10, b"\xff\xc0") == pack_code(np.ones(10))
+        assert hamming_distance(pack_code(np.ones(10)), HashCode(10, b"\xff\xc0")) == 0
+
 
 @st.composite
 def retrieval_cases(draw):
@@ -403,6 +420,58 @@ class TestDistinctCodes:
         assert index.grouping[0].shape == (1, 3)
         for q in np.concatenate([corpus[:3], random_codes(rng, 5, 16)]):
             assert search(index, pack_code(q), top) == naive_search(corpus, ids, q, top)
+
+def bucket_case(bits, own, top):
+    """A corpus in which the query's code A holds `own` rows: A first, its
+    complement next, then A's other rows interleaved with B, a code at
+    distance 1, and `top` + 2 more rows of B. Code numbers follow first rows,
+    so the code after A is the complement, not B."""
+    a = np.where(np.arange(bits) % 3 == 0, 1, -1).astype(np.int8)
+    b = a.copy()
+    b[-1] = -b[-1]
+    rows = ([a, -a] if own else [-a]) + [b, a] * (own - 1) + [b] * (top + 2)
+    return np.array(rows), [f"c{i}" for i in range(len(rows))], a
+
+
+class TestOwnBucket:
+    """search() answers from the query's own code when that code holds k rows."""
+
+    @pytest.mark.parametrize("bits", [10, 64, 130])
+    @pytest.mark.parametrize("shift", [-1, 0, 1])
+    @pytest.mark.parametrize("top", [1, 2, 5])
+    def test_own_rows_around_k(self, bits, shift, top):
+        corpus, ids, a = bucket_case(bits, top + shift, top)
+        index = build_index(corpus, ids, np.ones((len(ids), 1), dtype=np.int8))
+        assert search(index, pack_code(a), top) == naive_search(corpus, ids, a, top)
+
+    @pytest.mark.parametrize("bits", [10, 64, 130])
+    def test_k_above_the_corpus(self, bits):
+        corpus, ids, a = bucket_case(bits, 3, 1)
+        index = build_index(corpus, ids, np.ones((len(ids), 1), dtype=np.int8))
+        for top in (len(ids), len(ids) + 1, 3 * len(ids)):
+            assert search(index, pack_code(a), top) == naive_search(corpus, ids, a, top)
+
+    @pytest.mark.parametrize("bits", [10, 64, 130])
+    def test_absent_code(self, bits):
+        corpus, ids, a = bucket_case(bits, 0, 4)
+        index = build_index(corpus, ids, np.ones((len(ids), 1), dtype=np.int8))
+        assert not (corpus == a).all(axis=1).any()
+        for top in (1, 4, len(ids)):
+            assert search(index, pack_code(a), top) == naive_search(corpus, ids, a, top)
+
+    @pytest.mark.parametrize("bits", [10, 64, 130])
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_no_scan_when_the_code_holds_k_rows(self, bits, extra, monkeypatch):
+        top = 4
+        corpus, ids, a = bucket_case(bits, top + extra, top)
+        index = build_index(corpus, ids, np.ones((len(ids), 1), dtype=np.int8))
+        expected = naive_search(corpus, ids, a, top)
+
+        def no_scan(*args, **kwargs):
+            raise AssertionError("distance scan")
+        monkeypatch.setattr(retrieval.np, "bitwise_count", no_scan)
+        assert search(index, pack_code(a), top) == expected
+
 
 def tie_heavy_case(k, categories, seed):
     """A corpus and queries drawn from a few codes and their complements, so
