@@ -107,24 +107,16 @@ def cmd_train(args) -> int:
 
 
 def _encoder(args):
-    """The dataset, the checkpoint matched to it, and encode(split) -> sign codes."""
+    """The dataset, the checkpoint matched to it, and encode(split) -> sign codes
+    from the checkpoint's own network; its stored training config is not read."""
     ckpt = load_checkpoint(args.checkpoint)
     dataset = load_features(args.data)
     if ckpt.net_cfg.view_dims != dataset.view_dims:
         raise ValueError(f"checkpoint {args.checkpoint} has view_dims "
                          f"{ckpt.net_cfg.view_dims}, dataset {args.data} has {dataset.view_dims}")
-    stored = {k: v for k, v in ckpt.config.items() if k != "best_epoch"}
-    try:
-        _, _, view_mask, use_gating = TrainConfig(**stored).pipeline(ckpt.net_cfg.num_views)
-    except (TypeError, ValueError) as e:
-        raise ValueError(f"checkpoint {args.checkpoint}: stored config: {e}") from None
-    for key, built in (("bits", ckpt.net_cfg.code_bits), ("proj_dim", ckpt.net_cfg.proj_dim)):
-        if key in stored and stored[key] != built:  # a partial config may leave a key out
-            raise ValueError(f"checkpoint {args.checkpoint}: stored config has {key} "
-                             f"{stored[key]}, its network has {built}")
 
     def encode(split):
-        return binarize(codes_for(split, ckpt.params, view_mask, use_gating))
+        return binarize(codes_for(split, ckpt.params))
     return dataset, ckpt, encode
 
 

@@ -1,9 +1,10 @@
 """Multi-view hashing network: per-view projection, gated fusion, tanh hash head.
 
 A batch is one (b, D) block of feature rows with the views side by side,
-the layout a dataset split stores. `forward_batch` slices each view's
-columns by `NetConfig.view_dims`, projects them into a shared dimension,
-gates their concatenation and maps it to K continuous codes, and it caches
+the layout a dataset split stores. `forward_batch` slices the columns of
+each view the network reads (`NetConfig.views`) by `NetConfig.view_dims`,
+projects them into a shared dimension, gates their concatenation (unless
+`NetConfig.gated` is False) and maps it to K continuous codes, and it caches
 every intermediate in a BatchTape so that `backward_batch` can produce
 analytic gradients without an autograd framework. Training keeps the
 continuous tanh codes; sign-thresholding happens only when codes are
@@ -35,11 +36,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NetConfig:
-    """Static architecture: per-view input dims, shared projection dim, code bits."""
+    """Static architecture: per-view input dims, shared projection dim, code bits,
+    and the network's structure: the views it reads and whether it gates their fusion.
+
+    `views` are ascending indices into `view_dims`, every view by default. A
+    view left out is not part of the network: it has no weights, and the
+    columns of its features are never read. With `gated` False, fusion is the
+    identity, so the network has no fusion weights.
+    """
 
     view_dims: tuple
     proj_dim: int
     code_bits: int
+    views: tuple = None
+    gated: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "view_dims", tuple(self.view_dims))
@@ -49,10 +59,16 @@ class NetConfig:
                 ("proj_dim", self.proj_dim), ("code_bits", self.code_bits)]:
             if type(value) is not int or value < 1:  # exact, so a float or a bool never passes
                 raise ValueError(f"{name}: expected a positive integer, got {value!r}")
-
-    @property
-    def num_views(self) -> int:
-        return len(self.view_dims)
+        n = len(self.view_dims)
+        views = tuple(range(n)) if self.views is None else self.views
+        if (type(views) not in (tuple, list) or not views
+                or any(type(v) is not int for v in views)
+                or list(views) != sorted(set(views)) or not 0 <= views[0] <= views[-1] < n):
+            raise ValueError(f"views: expected ascending, distinct indices into {n} "
+                             f"view(s), got {self.views!r}")
+        object.__setattr__(self, "views", tuple(views))
+        if type(self.gated) is not bool:
+            raise ValueError(f"gated: expected a bool, got {self.gated!r}")
 
     @cached_property
     def input_dim(self) -> int:
@@ -66,16 +82,18 @@ class NetConfig:
 
     @property
     def fused_dim(self) -> int:
-        return self.num_views * self.proj_dim
+        return len(self.views) * self.proj_dim
 
     def layout(self) -> list:
         """(name, shape) of every parameter tensor, in buffer and checkpoint order."""
         n, k = self.fused_dim, self.code_bits
         entries = []
-        for v, d in enumerate(self.view_dims):
-            entries += [(f"norm_w.{v}", (self.proj_dim, d)), (f"norm_b.{v}", (self.proj_dim,))]
-        return entries + [("fusion_w", (n, n)), ("fusion_b", (n,)),
-                          ("hash_w", (k, n)), ("hash_b", (k,))]
+        for v in self.views:
+            entries += [(f"norm_w.{v}", (self.proj_dim, self.view_dims[v])),
+                        (f"norm_b.{v}", (self.proj_dim,))]
+        if self.gated:
+            entries += [("fusion_w", (n, n)), ("fusion_b", (n,))]
+        return entries + [("hash_w", (k, n)), ("hash_b", (k,))]
 
     @property
     def num_params(self) -> int:
@@ -103,13 +121,14 @@ class ModelParams:
             size = math.prod(shape)
             self._named.append((name, buf[off:off + size].reshape(shape)))
             off += size
-        views = dict(self._named)
-        self.norm_w = [views[f"norm_w.{v}"] for v in range(cfg.num_views)]  # (proj_dim, d_view)
-        self.norm_b = [views[f"norm_b.{v}"] for v in range(cfg.num_views)]  # (proj_dim,)
-        self.fusion_w = views["fusion_w"]  # (n, n), n = num_views * proj_dim
-        self.fusion_b = views["fusion_b"]  # (n,)
-        self.hash_w = views["hash_w"]  # (K, n)
-        self.hash_b = views["hash_b"]  # (K,)
+        named = dict(self._named)
+        # one per view the network reads, in cfg.views order
+        self.norm_w = [named[f"norm_w.{v}"] for v in cfg.views]  # (proj_dim, d_view)
+        self.norm_b = [named[f"norm_b.{v}"] for v in cfg.views]  # (proj_dim,)
+        self.fusion_w = named.get("fusion_w")  # (n, n), n = fused_dim; None when not gated
+        self.fusion_b = named.get("fusion_b")  # (n,)
+        self.hash_w = named["hash_w"]  # (K, n)
+        self.hash_b = named["hash_b"]  # (K,)
 
     def tensors(self):
         """(name, view) pairs in buffer order."""
@@ -134,11 +153,11 @@ def init_params(cfg: NetConfig, seed: int) -> ModelParams:
 class BatchTape:
     """Forward-pass intermediates needed by the analytic backward pass."""
 
-    x: np.ndarray  # input rows, views side by side, (b, D); masked views' columns zero
-    concat: np.ndarray  # per-view tanh projections side by side, (b, n)
+    x: np.ndarray  # input rows, views side by side, (b, D)
+    concat: np.ndarray  # tanh projections of the views read, side by side, (b, n)
     mask: np.ndarray  # inverted-dropout mask, entries in {0, 1/(1-p)}; None without dropout
     dropped: np.ndarray  # concat after dropout, (b, n)
-    gate: np.ndarray  # (b, n); None when gating is off
+    gate: np.ndarray  # (b, n); None when the network is not gated
     fused: np.ndarray  # (b, n)
     codes: np.ndarray  # continuous codes H, (b, K)
 
@@ -149,15 +168,13 @@ def forward_batch(
     dropout_p: float = 0.0,
     train_mode: bool = False,
     rng: np.random.Generator = None,
-    view_mask=None,
-    use_gating: bool = True,
 ):
     """Run the network on a batch.
 
     x: (b, D) feature rows, views side by side in `params.cfg.view_dims`
-    order; it is never written to. view_mask optionally zeroes whole views
-    before normalization (single-view ablations); use_gating=False makes
-    fusion the identity (concatenation ablation). In train mode with
+    order; it is never written to, and only the columns of the views in
+    `params.cfg.views` are read. A network that is not gated fuses by the
+    identity (the concatenation ablation). In train mode with
     dropout_p > 0 the keep mask is one rng.random draw of shape (b, n);
     the caller owns the Generator, so successive batches continue one
     stream. Returns (H, tape) with H of shape (b, K).
@@ -173,12 +190,11 @@ def forward_batch(
     dropout = train_mode and dropout_p > 0.0
     if dropout and rng is None:
         raise ValueError("train-mode dropout needs an rng (a numpy Generator)")
-    if view_mask is not None:  # a new array, so the caller's rows stay as they are
-        x = np.where(np.repeat(np.asarray(view_mask, dtype=bool), cfg.view_dims), x, 0.0)
 
     # per-view projections side by side, then one tanh over all of them
-    concat = np.tanh(np.concatenate([np.dot(x[:, cols], params.norm_w[v].T) + params.norm_b[v]
-                                     for v, cols in enumerate(cfg.view_columns)], axis=1))
+    concat = np.tanh(np.concatenate([np.dot(x[:, cfg.view_columns[v]], w.T) + b
+                                     for v, w, b in zip(cfg.views, params.norm_w, params.norm_b)],
+                                    axis=1))
 
     mask, dropped = None, concat
     if dropout:
@@ -188,7 +204,7 @@ def forward_batch(
 
     # context gating, or the identity
     gate, fused = None, dropped
-    if use_gating:
+    if cfg.gated:
         gate = sigmoid(np.dot(dropped, params.fusion_w.T) + params.fusion_b)
         fused = gate * dropped
 
@@ -227,9 +243,6 @@ def backward_batch(tape: BatchTape, params: ModelParams, dH: np.ndarray,
         np.dot(dZ.T, tape.dropped, out=grads.fusion_w)
         np.add.reduce(dZ, axis=0, out=grads.fusion_b)
         dP += np.dot(dZ, params.fusion_w)
-    else:
-        grads.fusion_w[...] = 0.0
-        grads.fusion_b[...] = 0.0
 
     # tanh' of every view in one pass; each column block then feeds its view's weights
     if tape.mask is not None:
@@ -238,12 +251,12 @@ def backward_batch(tape: BatchTape, params: ModelParams, dH: np.ndarray,
     np.subtract(1.0, t, out=t)
     dP *= t
 
-    p = params.cfg.proj_dim
-    for v, cols in enumerate(params.cfg.view_columns):
+    cfg, p = params.cfg, params.cfg.proj_dim
+    for i, v in enumerate(cfg.views):
         # contiguous copies, so a 1-wide block takes the same matmul path as a full one
-        dP_v = np.ascontiguousarray(dP[:, v * p:(v + 1) * p])
-        np.dot(dP_v.T, np.ascontiguousarray(tape.x[:, cols]), out=grads.norm_w[v])
-        np.add.reduce(dP_v, axis=0, out=grads.norm_b[v])
+        dP_v = np.ascontiguousarray(dP[:, i * p:(i + 1) * p])
+        np.dot(dP_v.T, np.ascontiguousarray(tape.x[:, cfg.view_columns[v]]), out=grads.norm_w[i])
+        np.add.reduce(dP_v, axis=0, out=grads.norm_b[i])
     return grads
 
 

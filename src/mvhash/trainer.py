@@ -1,9 +1,11 @@
 """Training loop: data -> network -> loss -> optimizer, plus checkpoints.
 
-Ablation modes reshape the pipeline at runtime: metric-only drops the
-quantization term (mu=0), quant-only zeroes the metric term, image-only /
-text-only blank the other view before normalization, and concat-only
-replaces the learned gate with the identity.
+`TrainConfig.pipeline` maps each ablation to what it changes: metric-only
+drops the quantization term (mu=0) and quant-only zeroes the metric term;
+image-only and text-only build a network that reads only that view, and
+concat-only one that fuses by the identity. The network's `NetConfig` holds
+this structure and a checkpoint stores it with the parameters, so eval and
+search read the forward function from the file, not from the training config.
 """
 
 import csv
@@ -11,7 +13,7 @@ import json
 import math
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -81,19 +83,16 @@ class TrainConfig:
         LossConfig(lam=self.lam, mu=self.mu, w_d=self.w_d)  # validates ranges
 
     def pipeline(self, num_views: int):
-        """(loss_cfg, metric_weight, view_mask, use_gating) for this ablation."""
+        """(loss_cfg, metric_weight, views, gated) for this ablation on data of
+        num_views views; views and gated are the NetConfig fields of its network."""
         mu = 0.0 if self.ablation == "metric-only" else self.mu
         loss_cfg = LossConfig(lam=self.lam, mu=mu, w_d=self.w_d)
         metric_weight = 0.0 if self.ablation == "quant-only" else 1.0
-        view_mask = None
-        if self.ablation == "image-only":
-            view_mask = [v == 0 for v in range(num_views)]
-        elif self.ablation == "text-only":
-            if num_views < 2:
-                raise ValueError("text-only ablation needs at least two views")
-            view_mask = [v == 1 for v in range(num_views)]
-        use_gating = self.ablation != "concat-only"
-        return loss_cfg, metric_weight, view_mask, use_gating
+        if self.ablation == "text-only" and num_views < 2:
+            raise ValueError("ablation text-only needs at least two views")
+        views = {"image-only": (0,), "text-only": (1,)}.get(self.ablation,
+                                                              tuple(range(num_views)))
+        return loss_cfg, metric_weight, views, self.ablation != "concat-only"
 
 
 @dataclass
@@ -115,21 +114,24 @@ class TrainResult:
     best_map: float
 
 
-def codes_for(split: Columns, params: ModelParams, view_mask=None,
-              use_gating=True) -> np.ndarray:
+def codes_for(split: Columns, params: ModelParams) -> np.ndarray:
     """Continuous codes in eval mode (dropout off), over row slices of the split."""
     out = np.empty((len(split), params.cfg.code_bits))
     for start in range(0, len(split), _CHUNK):
         h, _ = forward_batch(stack_views(split, slice(start, start + _CHUNK)), params,
-                             dropout_p=0.0, train_mode=False,
-                             view_mask=view_mask, use_gating=use_gating)
+                             dropout_p=0.0, train_mode=False)
         out[start:start + _CHUNK] = h
     return out
 
 
-def _test_map(dataset: DatasetSplit, params, view_mask, use_gating) -> float:
-    q_codes = binarize(codes_for(dataset.query, params, view_mask, use_gating))
-    db_codes = binarize(codes_for(dataset.retrieval, params, view_mask, use_gating))
+def _test_map(dataset: DatasetSplit, params, views, gated) -> float:
+    """Test mAP of params; views and gated, the structure the caller built the
+    network from, must be the network's own."""
+    if (views, gated) != (params.cfg.views, params.cfg.gated):
+        raise ValueError(f"network has views {params.cfg.views}, gated {params.cfg.gated}; "
+                         f"given views {views}, gated {gated}")
+    q_codes = binarize(codes_for(dataset.query, params))
+    db_codes = binarize(codes_for(dataset.retrieval, params))
     index = build_index(db_codes, dataset.retrieval.ids, dataset.retrieval.labels)
     return evaluate(q_codes, dataset.query.ids, dataset.query.labels, index).map
 
@@ -166,8 +168,8 @@ def train(dataset: DatasetSplit, cfg: TrainConfig) -> TrainResult:
     dropout_stream(cfg.seed), in batch order. Periodic evaluation runs in
     eval mode and draws nothing from it.
     """
-    net_cfg = NetConfig(dataset.view_dims, cfg.proj_dim, cfg.bits)
-    loss_cfg, metric_weight, view_mask, use_gating = cfg.pipeline(net_cfg.num_views)
+    loss_cfg, metric_weight, views, gated = cfg.pipeline(len(dataset.view_dims))
+    net_cfg = NetConfig(dataset.view_dims, cfg.proj_dim, cfg.bits, views, gated)
 
     params = init_params(net_cfg, cfg.seed)
     state = init_optim(params)
@@ -190,8 +192,7 @@ def train(dataset: DatasetSplit, cfg: TrainConfig) -> TrainResult:
         for bi, _ in enumerate(batches(dataset.train, b, cfg.seed, epoch)):
             rows = slice(bi * b, (bi + 1) * b)
             h, tape = forward_batch(stack_views(block, rows), params, dropout_p=cfg.dropout_p,
-                                    train_mode=True, rng=rng, view_mask=view_mask,
-                                    use_gating=use_gating)
+                                    train_mode=True, rng=rng)
             loss, dH = total_loss(h, stack_labels(block, rows), loss_cfg,
                                   metric_weight=metric_weight, sim=sims[bi])
             if not math.isfinite(loss):
@@ -206,7 +207,7 @@ def train(dataset: DatasetSplit, cfg: TrainConfig) -> TrainResult:
 
         test_map = None
         if cfg.eval_every > 0 and (epoch % cfg.eval_every == 0 or epoch == cfg.epochs):
-            test_map = _test_map(dataset, params, view_mask, use_gating)
+            test_map = _test_map(dataset, params, views, gated)
             if test_map > best_map:
                 best_params, best_epoch, best_map = _snapshot(params), epoch, test_map
         wall_ms = (time.perf_counter() - t0) * 1e3
@@ -233,9 +234,9 @@ def export_curves(records, path) -> None:
             ])
 
 
-# --- checkpoint container: JSON header + raw float64 buffers -----------------
+# --- checkpoint container: JSON header + raw float64 parameters ---------------
 
-_MAGIC = b"MVHCKPT1"
+_MAGIC = b"MVHCKPT2"
 _PREFIX = len(_MAGIC) + 8  # magic, then the header length as little-endian uint64
 
 
@@ -244,48 +245,40 @@ class Checkpoint:
     params: ModelParams
     net_cfg: NetConfig
     config: dict = field(default_factory=dict)
-    optim: OptimState = None
+    step: int = None  # optimizer steps taken; None for a checkpoint saved without one
 
 
 def save_checkpoint(path, params: ModelParams, net_cfg: NetConfig,
                     config: dict = None, optim: OptimState = None) -> None:
     """Bit-exact, self-describing container; byte-identical for equal inputs.
 
-    The body is the parameter buffer, then the optimizer's m and v buffers
-    when present, each little-endian float64 in `net_cfg.layout()` order.
-    The header's optim holds only the step: the optimizer's hyper-parameters
-    are those of the stored training config.
+    The header's net is the whole network, its structure included; the body
+    is the parameter buffer, little-endian float64 in `net_cfg.layout()`
+    order. Of the optimizer only the step is recorded. config is stored as
+    provenance and read by nothing.
     """
     if params.cfg != net_cfg:
         raise ValueError(f"parameters are laid out for {params.cfg}, not {net_cfg}")
     header = {
-        "net": {"view_dims": list(net_cfg.view_dims),
-                "proj_dim": net_cfg.proj_dim,
-                "code_bits": net_cfg.code_bits},
+        "net": asdict(net_cfg),
         "config": config or {},
         "tensors": [{"name": n, "shape": list(s)} for n, s in net_cfg.layout()],
-        "optim": None,
+        "optim": None if optim is None else {"step": optim.step},
     }
-    buffers = [params.buf]
-    if optim is not None:
-        header["optim"] = {"step": optim.step}
-        buffers += [optim.m, optim.v]
     head = json.dumps(header, sort_keys=True).encode()
     with open(Path(path), "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<Q", len(head)))
         fh.write(head)
-        for buf in buffers:
-            fh.write(np.ascontiguousarray(buf, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(params.buf, dtype="<f8").tobytes())
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint; any malformed, truncated or padded file is a ValueError.
-
-    A header's optim keys other than step, which files written by earlier
-    versions hold, are not read.
-    """
+    """Read a checkpoint; any malformed, truncated or padded file is a ValueError."""
     data = Path(path).read_bytes()
+    if data[:len(_MAGIC)] == b"MVHCKPT1":
+        raise ValueError(f"{path}: checkpoint format MVHCKPT1 predates this version, "
+                         f"which reads {_MAGIC.decode()}; train the model again")
     if data[:len(_MAGIC)] != _MAGIC:
         raise ValueError(f"{path}: not a checkpoint file")
     if len(data) < _PREFIX:
@@ -295,7 +288,7 @@ def load_checkpoint(path) -> Checkpoint:
     try:
         header = json.loads(data[_PREFIX:body_at])
         net = header["net"]
-        net_cfg = NetConfig(tuple(net["view_dims"]), net["proj_dim"], net["code_bits"])
+        net_cfg = NetConfig(**net)
         entries = [(e["name"], tuple(e["shape"])) for e in header["tensors"]]
         has_optim = header["optim"] is not None
         step = header["optim"]["step"] if has_optim else None
@@ -303,6 +296,8 @@ def load_checkpoint(path) -> Checkpoint:
     except (ValueError, KeyError, TypeError) as e:
         raise ValueError(f"{path}: malformed checkpoint header "
                          f"({type(e).__name__}: {e})") from None
+    if json.dumps(net, sort_keys=True) != json.dumps(asdict(net_cfg), sort_keys=True):
+        raise ValueError(f"{path}: header net {net!r} does not spell out {net_cfg}")
     if type(config) is not dict:
         raise ValueError(f"{path}: header config is not a JSON object ({config!r})")
     if has_optim and (type(step) is not int or step < 0):  # no bool, float, string or null
@@ -314,12 +309,9 @@ def load_checkpoint(path) -> Checkpoint:
     if entries != net_cfg.layout():
         raise ValueError(f"{path}: header tensors do not match the layout of {net_cfg}")
     n = net_cfg.num_params
-    buffers = 3 if has_optim else 1
-    expected = body_at + buffers * n * 8
-    if len(data) != expected:
-        raise ValueError(f"{path}: {len(data)} bytes, expected {expected} for "
-                         f"{buffers} buffer(s) of {n} float64 values")
+    if len(data) != body_at + n * 8:
+        raise ValueError(f"{path}: {len(data)} bytes, expected {body_at + n * 8} for "
+                         f"{n} float64 parameters")
     flat = np.frombuffer(data, dtype="<f8", offset=body_at).astype(np.float64)
-    params = ModelParams(net_cfg, flat[:n])
-    optim = OptimState(step, flat[n:2 * n], flat[2 * n:]) if has_optim else None
-    return Checkpoint(params=params, net_cfg=net_cfg, config=config, optim=optim)
+    return Checkpoint(params=ModelParams(net_cfg, flat), net_cfg=net_cfg, config=config,
+                      step=step)

@@ -28,6 +28,7 @@ from mvhash.data import SynthConfig, load_features, stack_labels
 from mvhash.net import NetConfig, binarize, init_params
 from mvhash.retrieval import average_precision, build_index, pack_code, search
 from mvhash.trainer import TrainConfig, codes_for, load_checkpoint, save_checkpoint
+from test_trainer import rewrite_header
 
 
 @pytest.fixture(scope="module")
@@ -368,8 +369,8 @@ class TestCheckpointMatchesDataset:
 
     @pytest.mark.parametrize("command", ["eval", "search"])
     def test_invalid_stored_pipeline_rejected(self, tmp_path, capsys, command):
-        # A text-only model needs a second view; one-view data must not run it
-        # on all-zero inputs.
+        # A text-only network reads a second view; a checkpoint of one view must not
+        # claim one.
         data = tmp_path / "one_view"
         assert main(["synth", "--out", str(data), "--categories", "3", "--views", "1",
                      "--view-dims", "6", "--train-size", "10", "--retrieval-size", "10",
@@ -379,29 +380,66 @@ class TestCheckpointMatchesDataset:
         checkpoint = tmp_path / "text_only.bin"
         save_checkpoint(checkpoint, init_params(net_cfg, 0), net_cfg,
                         config={"ablation": "text-only", "best_epoch": 3})
+        rewrite_header(checkpoint, lambda h: h["net"].update(views=[1]))
         assert main([command, "--checkpoint", str(checkpoint), "--data", str(data)]) == 1
         err = self.one_line_error(capsys)
-        assert str(checkpoint) in err and "text-only" in err
+        assert str(checkpoint) in err and "views" in err
+
+    @pytest.fixture(scope="class")
+    def ablation_runs(self, dataset_dir, run_dir, tmp_path_factory):
+        """Checkpoint path of a full, a concat-only and an image-only run."""
+        runs = {"full": run_dir / "checkpoint.bin"}
+        for ablation in ("concat-only", "image-only"):
+            out = tmp_path_factory.mktemp(ablation)
+            assert main(["train", "--data", str(dataset_dir), "--out", str(out),
+                         "--epochs", "2", "--batch-size", "8", "--bits", "8",
+                         "--proj-dim", "4", "--eval-every", "1", "--seed", "3",
+                         "--ablation", ablation]) == 0
+            runs[ablation] = out / "checkpoint.bin"
+        return runs
+
+    @pytest.mark.parametrize("command", [["eval", "--cutoffs", "5"], ["search", "-k", "3"]],
+                             ids=["eval", "search"])
+    @pytest.mark.parametrize("ablation, edit", [
+        ("concat-only", lambda c: {**c, "ablation": "full"}),
+        ("image-only", lambda c: {**c, "ablation": "full"}),
+        ("full", lambda c: {**c, "ablation": "concat-only"}),
+        ("full", lambda c: {"seed": 13}),
+        ("full", lambda c: {**c, "bits": 8, "proj_dim": 4}),
+        ("full", lambda c: {**c, "bits": 64}),
+        ("full", lambda c: {**c, "seed": 13, "proj_dim": 16}),
+    ], ids=["concat-only", "image-only", "full", "partial", "matching", "bits", "proj_dim"])
+    def test_stored_config_is_provenance_only(self, ablation_runs, dataset_dir, tmp_path,
+                                              capsys, ablation, edit, command):
+        # the network in the header is the forward function, whatever the stored
+        # config says: an edited one gives exactly the clean file's output
+        clean = ablation_runs[ablation]
+        edited = tmp_path / "edited.bin"
+        shutil.copy(clean, edited)
+        rewrite_header(edited, lambda h: h.update(config=edit(h["config"])))
+        assert load_checkpoint(edited).net_cfg == load_checkpoint(clean).net_cfg
+        outputs = []
+        for path in (clean, edited):
+            capsys.readouterr()
+            assert main([command[0], "--checkpoint", str(path), "--data", str(dataset_dir),
+                         *command[1:]]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0].out and outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("command", ["eval", "search"])
-    @pytest.mark.parametrize("stored, ok", [
-        ({"seed": 13}, True), ({"bits": 8, "proj_dim": 4}, True),
-        ({"bits": 64}, False), ({"seed": 13, "proj_dim": 16}, False),
-    ], ids=["partial", "matching", "bits", "proj_dim"])
-    def test_stored_config_must_match_network(self, dataset_dir, tmp_path, capsys, command,
-                                              stored, ok):
-        # Keys a partial config leaves out are not compared.
-        net_cfg = NetConfig((6, 5), 4, 8)
-        checkpoint = tmp_path / "ckpt.bin"
-        save_checkpoint(checkpoint, init_params(net_cfg, 0), net_cfg, config=stored)
-        code = main([command, "--checkpoint", str(checkpoint), "--data", str(dataset_dir)])
-        if ok:
-            assert code == 0
-            return
-        assert code == 1
-        err = self.one_line_error(capsys)
-        key = next(k for k in stored if k != "seed")
-        assert str(checkpoint) in err and f"{key} {stored[key]}" in err
+    @pytest.mark.parametrize("ablation, edit", [
+        ("full", {"gated": False}), ("concat-only", {"gated": True}),
+        ("image-only", {"views": [0, 1]}), ("image-only", {"views": [1]}),
+        ("full", {"views": [0]}),
+    ], ids=["ungate", "gate", "add-view", "swap-view", "drop-view"])
+    def test_edited_structure_rejected(self, ablation_runs, dataset_dir, tmp_path, capsys,
+                                       ablation, edit, command):
+        checkpoint = tmp_path / "edited.bin"
+        shutil.copy(ablation_runs[ablation], checkpoint)
+        rewrite_header(checkpoint, lambda h: h["net"].update(edit))
+        capsys.readouterr()
+        assert main([command, "--checkpoint", str(checkpoint), "--data", str(dataset_dir)]) == 1
+        assert str(checkpoint) in self.one_line_error(capsys)
 
     def test_best_checkpoint_uses_stored_pipeline(self, dataset_dir, tmp_path, capsys):
         out = tmp_path / "run"
@@ -410,16 +448,15 @@ class TestCheckpointMatchesDataset:
                      "--proj-dim", "4", "--eval-every", "1", "--seed", "3",
                      "--ablation", "image-only"]) == 0
         checkpoint = out / "checkpoint_best.bin"
-        assert "best_epoch" in load_checkpoint(checkpoint).config
+        ckpt, split = load_checkpoint(checkpoint), load_features(dataset_dir)
+        assert "best_epoch" in ckpt.config and ckpt.net_cfg.views == (0,)
         capsys.readouterr()
         assert main(["search", "--checkpoint", str(checkpoint),
                      "--data", str(dataset_dir), "-k", "3"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
-        ckpt, split = load_checkpoint(checkpoint), load_features(dataset_dir)
-        mask = [True, False]
-        index = build_index(binarize(codes_for(split.retrieval, ckpt.params, mask)),
+        index = build_index(binarize(codes_for(split.retrieval, ckpt.params)),
                             split.retrieval.ids, split.retrieval.labels)
-        q_codes = binarize(codes_for(split.query, ckpt.params, mask))
+        q_codes = binarize(codes_for(split.query, ckpt.params))
         assert lines == [f"{qid}: {' '.join(search(index, pack_code(q_codes[i]), 3))}"
                          for i, qid in enumerate(split.query.ids)]
 
@@ -462,12 +499,13 @@ class TestCorruptCheckpoint:
         assert header["config"]["ablation"] == "full" and header["optim"] is not None
         runs = [self.run(c, run_dir / "checkpoint.bin", dataset_dir) for c in self.COMMANDS]
         assert [code for code, _, _ in runs] == [0, 0]
-        return header, data[16 + head_len:], runs
+        # the clean file's own magic, so that a fuzzed file is not rejected by its magic alone
+        return data[:8], header, data[16 + head_len:], runs
 
     @settings(max_examples=100, deadline=None)
     @given(draw=st.data())
     def test_clean_output_or_one_line_naming_it(self, clean, dataset_dir, draw):
-        header, body, clean_runs = clean
+        magic, header, body, clean_runs = clean
         header = copy.deepcopy(header)
         kind = draw.draw(st.sampled_from(["delete", "retype", "cut", "pad"]))
         if kind in ("delete", "retype"):
@@ -485,7 +523,7 @@ class TestCorruptCheckpoint:
         head = json.dumps(header, sort_keys=True).encode()
         with tempfile.TemporaryDirectory() as tmp:
             checkpoint = Path(tmp) / "corrupt.bin"
-            checkpoint.write_bytes(b"MVHCKPT1" + struct.pack("<Q", len(head)) + head + body)
+            checkpoint.write_bytes(magic + struct.pack("<Q", len(head)) + head + body)
             for command, clean_run in zip(self.COMMANDS, clean_runs):
                 code, out, err = self.run(command, checkpoint, dataset_dir)
                 if code == 0:
@@ -494,6 +532,15 @@ class TestCorruptCheckpoint:
                     assert code == 1 and out == ""
                     lines = err.splitlines()
                     assert len(lines) == 1 and str(checkpoint) in lines[0]
+
+
+    def test_format_1_is_one_line_naming_it(self, run_dir, dataset_dir, tmp_path):
+        checkpoint = tmp_path / "format1.bin"
+        checkpoint.write_bytes(b"MVHCKPT1" + (run_dir / "checkpoint.bin").read_bytes()[8:])
+        for command in self.COMMANDS:
+            code, out, err = self.run(command, checkpoint, dataset_dir)
+            assert code == 1 and out == "" and len(err.splitlines()) == 1
+            assert str(checkpoint) in err and "MVHCKPT1" in err
 
 
 class TestCorruptDataset:

@@ -8,26 +8,32 @@ from mvhash.linalg import ShapeError
 from mvhash.net import ModelParams, NetConfig, backward_batch, binarize, forward_batch, init_params
 
 
-def make_params(view_dims=(3, 4), proj=2, bits=3, seed=0):
-    return NetConfig(view_dims, proj, bits), init_params(NetConfig(view_dims, proj, bits), seed)
+def make_params(view_dims=(3, 4), proj=2, bits=3, seed=0, views=None, gated=True):
+    cfg = NetConfig(view_dims, proj, bits, views, gated)
+    return cfg, init_params(cfg, seed)
+
+
+def read_views(view_mask):
+    """The views a case's mask keeps, as NetConfig.views; None (every view) without a mask."""
+    return None if view_mask is None else tuple(v for v, keep in enumerate(view_mask) if keep)
 
 
 def zero_params(cfg):
     return ModelParams(cfg)
 
 
-def naive_forward(x, params, view_mask=None, use_gating=True):
+def naive_forward(x, params):
     """Continuous codes record by record, each layer written out from the paper."""
     cfg = params.cfg
+    starts = np.cumsum((0,) + cfg.view_dims)
     codes = []
     for row in x:
-        parts, start = [], 0
-        for v, d in enumerate(cfg.view_dims):
-            x_v = row[start:start + d] if view_mask is None or view_mask[v] else np.zeros(d)
-            parts.append(np.tanh(params.norm_w[v] @ x_v + params.norm_b[v]))
-            start += d
+        parts = []
+        for i, v in enumerate(cfg.views):
+            x_v = row[starts[v]:starts[v + 1]]
+            parts.append(np.tanh(params.norm_w[i] @ x_v + params.norm_b[i]))
         t = np.concatenate(parts)
-        if use_gating:
+        if cfg.gated:
             t = t / (1.0 + np.exp(-(params.fusion_w @ t + params.fusion_b)))
         codes.append(np.tanh(params.hash_w @ t + params.hash_b))
     return np.array(codes)
@@ -50,6 +56,40 @@ class TestNetConfig:
         cfg = NetConfig((1, 5, 1), 2, 3)
         assert cfg.input_dim == 7 and type(cfg.num_params) is int
         assert cfg.view_columns == (slice(0, 1), slice(1, 6), slice(6, 7))
+
+    @pytest.mark.parametrize("view_dims, views", [
+        ((3, 4), ()), ((3, 4), (1, 0)), ((3, 4), (0, 0)), ((3, 4), (0, 2)), ((3, 4), (-1,)),
+        ((3, 4), (True,)), ((3, 4), (0, 1.0)), ((3, 4), 1), ((3, 4), "01"), ((3, 4), [[0]]),
+        ((6,), (1,)),  # text-only on one-view data
+    ], ids=["empty", "unsorted", "repeated", "past-end", "negative", "bool", "float", "int",
+            "str", "nested", "text-only-one-view"])
+    def test_views_must_be_ascending_distinct_indices(self, view_dims, views):
+        with pytest.raises(ValueError) as info:
+            NetConfig(view_dims, 2, 3, views)
+        assert str(info.value).startswith("views: ") and "\n" not in str(info.value)
+
+    @pytest.mark.parametrize("gated", [1, 0, None, "true", 1.0])
+    def test_gated_must_be_a_bool(self, gated):
+        with pytest.raises(ValueError) as info:
+            NetConfig((3, 4), 2, 3, gated=gated)
+        assert str(info.value).startswith("gated: ") and "\n" not in str(info.value)
+
+    def test_defaults_read_every_view_through_the_gate(self):
+        cfg = NetConfig([3, 4], 2, 3)
+        assert cfg.views == (0, 1) and cfg.gated is True
+        assert cfg == NetConfig((3, 4), 2, 3, [0, 1], True)
+
+    def test_layout_holds_only_the_tensors_the_network_uses(self):
+        # the acceptance config: 32-dim views, proj 32, K = 16
+        full = NetConfig((32, 32), 32, 16)
+        concat = NetConfig((32, 32), 32, 16, gated=False)
+        text = NetConfig((32, 32), 32, 16, views=(1,))
+        assert (full.num_params, concat.num_params) == (7312, 3152)
+        assert [n for n, _ in concat.layout()] == [
+            "norm_w.0", "norm_b.0", "norm_w.1", "norm_b.1", "hash_w", "hash_b"]
+        assert text.layout() == [("norm_w.1", (32, 32)), ("norm_b.1", (32,)),
+                                 ("fusion_w", (32, 32)), ("fusion_b", (32,)),
+                                 ("hash_w", (16, 32)), ("hash_b", (16,))]
 
 
 class TestNormalizeView:
@@ -107,9 +147,10 @@ class TestContextGating:
         assert np.all(tape.gate > 0.0) and np.all(tape.gate < 1.0)
 
     def test_gating_off_fuses_by_identity(self):
-        cfg, p = make_params()
-        _, tape = forward_batch(np.ones((3, cfg.input_dim)), p, use_gating=False)
+        cfg, p = make_params(gated=False)
+        _, tape = forward_batch(np.ones((3, cfg.input_dim)), p)
         assert tape.gate is None and tape.fused is tape.concat
+        assert p.fusion_w is None and p.fusion_b is None
 
 
 class TestHashHead:
@@ -121,11 +162,11 @@ class TestHashHead:
         assert np.all(h == 0.0)
 
     def test_single_unit_row(self):
-        cfg = NetConfig((2,), 2, 1)
+        cfg = NetConfig((2,), 2, 1, gated=False)
         p = zero_params(cfg)
         p.norm_b[0][:] = [0.5, 0.9]  # fused = tanh(norm_b) without gating
         p.hash_w[0, 0] = 1.0
-        h, tape = forward_batch(np.zeros((1, 2)), p, use_gating=False)
+        h, tape = forward_batch(np.zeros((1, 2)), p)
         assert h[0, 0] == pytest.approx(np.tanh(tape.fused[0, 0]), abs=1e-12)
         assert h[0, 0] == pytest.approx(0.43181, abs=1e-5)
 
@@ -160,16 +201,18 @@ class TestForwardBatch:
         ((1, 5, 1), [True, False, True], True),
     ])
     def test_matches_naive_reference(self, view_dims, view_mask, use_gating):
-        cfg, params = make_params(view_dims, proj=3, bits=4, seed=2)
+        # view_mask marks the views the network reads
+        cfg, params = make_params(view_dims, proj=3, bits=4, seed=2,
+                                  views=read_views(view_mask), gated=use_gating)
         x = np.random.default_rng(8).normal(size=(6, cfg.input_dim))
         before = x.copy()
-        h, tape = forward_batch(x, params, view_mask=view_mask, use_gating=use_gating)
-        assert np.allclose(h, naive_forward(x, params, view_mask, use_gating), atol=1e-12)
-        assert np.array_equal(x, before)  # masking never writes into the caller's rows
-        if view_mask is not None:
-            for keep, cols in zip(view_mask, cfg.view_columns):  # a blanked view reads +0.0
-                assert np.array_equal(tape.x[:, cols], np.where(keep, x[:, cols], 0.0))
-                assert keep or not np.signbit(tape.x[:, cols]).any()
+        h, tape = forward_batch(x, params)
+        assert np.allclose(h, naive_forward(x, params), atol=1e-12)
+        assert np.array_equal(x, before) and tape.x is x  # the caller's rows, never written
+        unread = x.copy()  # a view the network does not read never reaches its codes
+        for v in set(range(len(view_dims))) - set(cfg.views):
+            unread[:, cfg.view_columns[v]] = np.nan
+        assert np.array_equal(forward_batch(unread, params)[0], h)
 
     def test_slice_of_rows_is_read_in_place(self):
         block = np.random.default_rng(4).normal(size=(9, self.cfg.input_dim))
@@ -272,23 +315,22 @@ class TestBackwardBatch:
         assert result.failures == 0
         assert result.max_rel_err < 1e-4
 
-    @pytest.mark.parametrize("view_dims, view_mask, use_gating", [
+    @pytest.mark.parametrize("view_dims, views, gated", [
         ((3, 4), None, False),
-        ((3, 4), [True, False], True),
-        ((3, 4), [False, True], False),
-        ((1, 5, 1), [False, True, True], True),
+        ((3, 4), (0,), True),
+        ((3, 4), (1,), False),
+        ((1, 5, 1), (1, 2), True),
     ], ids=["concat-only", "image-only", "text-only-concat", "one-wide-masked"])
-    def test_finite_difference_of_ablation(self, view_dims, view_mask, use_gating):
+    def test_finite_difference_of_ablation(self, view_dims, views, gated):
         # L = sum(c * H), so dL/dH = c; every parameter checked by central differences
-        cfg, params = make_params(view_dims, proj=2, bits=3, seed=4)
+        cfg, params = make_params(view_dims, proj=2, bits=3, seed=4, views=views, gated=gated)
         rng = np.random.default_rng(6)
         x, c = rng.normal(size=(5, cfg.input_dim)), rng.normal(size=(5, cfg.code_bits))
-        kw = {"view_mask": view_mask, "use_gating": use_gating}
 
         def loss():
-            return float((forward_batch(x, params, **kw)[0] * c).sum())
+            return float((forward_batch(x, params)[0] * c).sum())
 
-        _, tape = forward_batch(x, params, **kw)
+        _, tape = forward_batch(x, params)
         grads = backward_batch(tape, params, c)
         fd, step = np.empty_like(params.buf), 1e-6
         for i, orig in enumerate(params.buf.copy()):
@@ -298,11 +340,7 @@ class TestBackwardBatch:
             fd[i] = (up - loss()) / (2 * step)
             params.buf[i] = orig
         assert np.allclose(grads.buf, fd, rtol=1e-6, atol=1e-8)
-        if not use_gating:
-            assert np.all(grads.fusion_w == 0.0) and np.all(grads.fusion_b == 0.0)
-        for v, keep in enumerate(view_mask or ()):
-            if not keep:  # a blanked view's weights see only zero inputs
-                assert np.all(grads.norm_w[v] == 0.0)
+        assert np.all(grads.buf != 0.0)  # every parameter the network holds is used
 
 
 class TestBinarize:

@@ -389,6 +389,10 @@ class TestDistinctCodes:
         for q in queries:
             top = data.draw(st.integers(1, len(ids) + 5))
             assert search(index, pack_code(q), top) == naive_search(corpus, ids, q, top)
+        # a code of the corpus with k one past its rows: the answer runs past its bucket
+        q = corpus[data.draw(st.integers(0, len(ids) - 1))]
+        top = int(np.all(corpus == q, axis=1).sum()) + 1
+        assert search(index, pack_code(q), top) == naive_search(corpus, ids, q, top)
 
     @settings(max_examples=50, deadline=None)
     @given(grouped_cases())

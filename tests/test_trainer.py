@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from mvhash.data import SynthConfig, generate_synthetic, load_features, write_features
 from mvhash.net import NetConfig, init_params
 from mvhash.optim import init_optim
-from mvhash.trainer import (Checkpoint, EpochRecord, TrainConfig, _gather, codes_for,
+from mvhash.trainer import (Checkpoint, EpochRecord, TrainConfig, _gather, _test_map, codes_for,
                             dropout_stream, export_curves, load_checkpoint, save_checkpoint,
                             train)
 
@@ -162,10 +162,9 @@ class TestFloat32Features:
 
     @pytest.mark.parametrize("ablation", ["full", "image-only", "concat-only"])
     def test_codes_for(self, splits, ablation):
-        _, _, view_mask, use_gating = TrainConfig(ablation=ablation).pipeline(3)
-        params = init_params(NetConfig((1, 5, 1), 1, 8), seed=3)
-        loaded, widened = (codes_for(s.retrieval, params, view_mask, use_gating)
-                           for s in splits)
+        _, _, views, gated = TrainConfig(ablation=ablation).pipeline(3)
+        params = init_params(NetConfig((1, 5, 1), 1, 8, views, gated), seed=3)
+        loaded, widened = (codes_for(s.retrieval, params) for s in splits)
         assert loaded.tobytes() == widened.tobytes()
 
     @pytest.mark.parametrize("ablation", ["full", "image-only"])
@@ -191,22 +190,43 @@ def test_gather_reads_rows_in_batch_order(tiny_dataset):
 
 class TestPipelineMapping:
     def test_metric_only_drops_mu(self):
-        loss_cfg, mw, mask, gated = TrainConfig(ablation="metric-only").pipeline(2)
-        assert loss_cfg.mu == 0.0 and mw == 1.0 and mask is None and gated
+        loss_cfg, mw, views, gated = TrainConfig(ablation="metric-only").pipeline(2)
+        assert loss_cfg.mu == 0.0 and mw == 1.0 and views == (0, 1) and gated
 
     def test_quant_only_zeroes_metric(self):
-        loss_cfg, mw, mask, gated = TrainConfig(ablation="quant-only").pipeline(2)
+        loss_cfg, mw, views, gated = TrainConfig(ablation="quant-only").pipeline(2)
         assert mw == 0.0 and loss_cfg.mu == 0.5
 
     def test_single_view_masks(self):
-        _, _, mask, _ = TrainConfig(ablation="image-only").pipeline(2)
-        assert mask == [True, False]
-        _, _, mask, _ = TrainConfig(ablation="text-only").pipeline(2)
-        assert mask == [False, True]
+        # a single-view ablation is a network that reads that one view
+        _, _, views, _ = TrainConfig(ablation="image-only").pipeline(2)
+        assert views == (0,)
+        _, _, views, _ = TrainConfig(ablation="text-only").pipeline(3)
+        assert views == (1,)
 
     def test_concat_only_disables_gate(self):
         *_, gated = TrainConfig(ablation="concat-only").pipeline(2)
         assert not gated
+
+    @pytest.mark.parametrize("ablation", ["full", "image-only", "text-only", "concat-only"])
+    def test_trained_network_has_the_pipeline_structure(self, tiny_dataset, ablation):
+        cfg = TrainConfig(epochs=1, ablation=ablation, **SMALL)
+        _, _, views, gated = cfg.pipeline(2)
+        result = train(tiny_dataset, cfg)
+        assert (result.net_cfg.views, result.net_cfg.gated) == (views, gated)
+        assert result.params.cfg == result.best_params.cfg == result.net_cfg
+
+    def test_test_map_rejects_another_structure(self, tiny_dataset):
+        params = init_params(NetConfig((5, 4), 3, 4, gated=False), 0)
+        assert 0.0 <= _test_map(tiny_dataset, params, (0, 1), False) <= 1.0
+        for views, gated in (((0, 1), True), ((0,), False)):
+            with pytest.raises(ValueError, match="network has views"):
+                _test_map(tiny_dataset, params, views, gated)
+
+    def test_text_only_needs_a_second_view(self, tiny_dataset):
+        one_view = dataclasses.replace(tiny_dataset, view_dims=(9,))
+        with pytest.raises(ValueError, match="text-only needs at least two views"):
+            train(one_view, TrainConfig(epochs=1, ablation="text-only", **SMALL))
 
 
 class TestExportCurves:
@@ -250,21 +270,31 @@ class TestCheckpoint:
         assert params_equal(ckpt.params, result.params)
         assert ckpt.net_cfg == result.net_cfg
         assert ckpt.config == {"seed": 2}
-        assert ckpt.optim.step == result.optim_state.step
-        assert np.array_equal(ckpt.optim.m, result.optim_state.m)
-        assert np.array_equal(ckpt.optim.v, result.optim_state.v)
+        assert ckpt.step == result.optim_state.step
+        # the body is the parameters alone: the moments are not stored
+        assert path.read_bytes().endswith(result.params.buf.astype("<f8").tobytes())
+        assert path.stat().st_size == 16 + header_length(path) + 8 * result.params.buf.size
 
         resaved = tmp_path / "ckpt2.bin"
-        save_checkpoint(resaved, ckpt.params, ckpt.net_cfg,
-                        config=ckpt.config, optim=ckpt.optim)
+        optim = dataclasses.replace(init_optim(ckpt.params), step=ckpt.step)
+        save_checkpoint(resaved, ckpt.params, ckpt.net_cfg, config=ckpt.config, optim=optim)
         assert path.read_bytes() == resaved.read_bytes()
+
+    @pytest.mark.parametrize("views, gated", [((1,), True), ((0, 1), False)],
+                             ids=["text-only", "concat-only"])
+    def test_structure_round_trip(self, tmp_path, views, gated):
+        net_cfg = NetConfig((3, 2), 2, 3, views, gated)
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, init_params(net_cfg, 0), net_cfg)
+        ckpt = load_checkpoint(path)
+        assert ckpt.net_cfg == net_cfg and params_equal(ckpt.params, init_params(net_cfg, 0))
 
     def test_without_optimizer_state(self, tiny_dataset, tmp_path):
         result = train(tiny_dataset, TrainConfig(epochs=0, **SMALL))
         path = tmp_path / "init.bin"
         save_checkpoint(path, result.params, result.net_cfg)
         ckpt = load_checkpoint(path)
-        assert ckpt.optim is None
+        assert ckpt.step is None
         assert params_equal(ckpt.params, result.params)
 
     def test_bad_magic(self, tmp_path):
@@ -272,6 +302,10 @@ class TestCheckpoint:
         path.write_bytes(b"not a checkpoint at all")
         with pytest.raises(ValueError):
             load_checkpoint(path)
+
+
+def header_length(path):
+    return struct.unpack("<Q", path.read_bytes()[8:16])[0]
 
 
 def assert_one_line_error(path):
@@ -317,7 +351,14 @@ class TestCheckpointValidation:
         lambda h: h["tensors"][-1].update(name="bias"),
         lambda h: h["tensors"].reverse(),
         lambda h: h["net"].update(code_bits=2),
-    ], ids=["shape", "name", "order", "net"])
+        lambda h: h["net"].update(gated=False),
+        lambda h: h["net"].update(views=[1]),
+        lambda h: h["net"].update(views=None),
+        lambda h: h["net"].pop("views"),
+        lambda h: h["net"].pop("gated"),
+        lambda h: h["net"].update(extra=1),
+    ], ids=["shape", "name", "order", "net", "gated", "views", "views-null", "views-missing",
+            "gated-missing", "net-extra-key"])
     def test_header_must_match_layout(self, tmp_path, edit):
         net_cfg = NetConfig((3, 2), 2, 3)
         path = tmp_path / "ckpt.bin"
@@ -364,22 +405,12 @@ class TestCheckpointValidation:
         rewrite_header(path, edit)
         assert key in assert_one_line_error(path)
 
-    def test_earlier_optim_keys_not_read(self, tmp_path):
-        # files written by earlier versions also stored the AdamW hyper-parameters
+    def test_format_1_rejected(self, tmp_path):
         net_cfg = NetConfig((3, 2), 2, 3)
-        params = init_params(net_cfg, 0)
-        optim = init_optim(params)
-        optim.step = 7
         path = tmp_path / "ckpt.bin"
-        save_checkpoint(path, params, net_cfg, config={"seed": 0}, optim=optim)
-        clean = path.read_bytes()
-        rewrite_header(path, lambda h: h["optim"].update(
-            lr="NaN", beta1=-3.0, beta2=0.999, eps=1e-8, weight_decay=[]))
-        ckpt = load_checkpoint(path)
-        assert ckpt.optim.step == 7 and params_equal(ckpt.params, params)
-        resaved = tmp_path / "resaved.bin"
-        save_checkpoint(resaved, ckpt.params, ckpt.net_cfg, config=ckpt.config, optim=ckpt.optim)
-        assert resaved.read_bytes() == clean
+        save_checkpoint(path, init_params(net_cfg, 0), net_cfg)
+        path.write_bytes(b"MVHCKPT1" + path.read_bytes()[8:])
+        assert "MVHCKPT1" in assert_one_line_error(path)
 
     def test_malformed_header_named(self, tmp_path):
         net_cfg = NetConfig((3,), 2, 3)
