@@ -6,10 +6,15 @@ to uint64 words:
 
 - per row: one contiguous row of N words per word of the code, beside the
   multi-hot labels packed to bits, one row of N per byte. evaluate()
-  scans it: per query, one XOR and one ``np.bitwise_count`` per word row
+  scans it once per distinct query: queries with an equal code, label set
+  and own row (the corpus row of their id, if any) rank the corpus alike,
+  so each such group is ranked once and its values copied to every member.
+  Per ranked query, one XOR and one ``np.bitwise_count`` per word row
   gives its distances to every item, ranked by a stable sort on those
-  small integers, and each query's AP comes from one prefix sum over its
-  relevant ranks.
+  small integers, and its AP comes from one prefix sum over its relevant
+  ranks. Trained codes repeat: the benchmark's 1,000 queries hold about
+  205 distinct groups, and the acceptance dataset's 200 hold 26 after one
+  epoch and 6 after 200.
 - per distinct code, built by the first search(): each of the U distinct codes
   once, in order of its first row, with the rows grouped by code, and a
   table from each code's zero-padded bytes to its number. search() first
@@ -25,10 +30,14 @@ to uint64 words:
   125 bytes a code. Past the scan and its threshold, a query costs about
   twenty numpy calls on the near codes and their rows.
 
-With 50k items and K = 64, evaluate() takes about 0.4 ms per query
-(5-query calls) and pack_code() + search() about 0.025 ms, medians of ten
-benchmark runs on a 2-core Xeon with numpy 2.4; a query that its own code
-answers takes about 5 us in search() and one that scans 40-60 us.
+With 50k items and K = 64, pack_code() + search() takes about 0.025 ms
+per query, medians of ten benchmark runs on a 2-core Xeon with numpy 2.4;
+a query that its own code answers takes about 5 us in search() and one
+that scans 40-60 us. evaluate() takes about 0.6 ms per ranked query there,
+so a call costs that times its number of distinct queries: about 0.14 s
+for the benchmark's 1,000 queries, of which 205 are distinct, where
+ranking every query would take 0.58 s (in-process medians, same host).
+Grouping all-distinct queries costs under 0.1 ms per 200.
 Relevance between a query and a corpus item means their multi-hot labels
 share at least one category.
 """
@@ -271,17 +280,17 @@ class EvalReport:
 def _distances_and_relevance(index, q_words, q_labels, own):
     """(B, N) distances and relevance of a block of queries.
 
-    A query's own corpus item (row own[i], or None) gets distance k + 1 and
-    relevance 0: it ranks last and leaves every metric as if it were
-    removed.
+    A query's own corpus item (row own[i], or -1 for none) gets distance
+    k + 1 and relevance 0: it ranks last and leaves every metric as if it
+    were removed.
     """
     dist = _scan(index.words, q_words, index.k)
     shared = index.labels[0] & q_labels[:, :1]
     for byte in range(1, len(index.labels)):
         shared |= index.labels[byte] & q_labels[:, byte:byte + 1]
     rel = shared != 0
-    for row, j in enumerate(own):
-        if j is not None:
+    for row, j in enumerate(own.tolist()):
+        if j >= 0:
             dist[row, j] = index.k + 1
             rel[row, j] = False
     return dist, rel
@@ -293,6 +302,13 @@ def evaluate(query_codes, query_ids, query_labels, index: HammingIndex,
 
     A query present in the corpus (matching id) is excluded from its own
     ranking. Deterministic: distance ties resolve by corpus position.
+
+    Queries with an equal code, label set and own row (the corpus row of
+    their id, or none) are ranked once: their distances, relevance and
+    metrics are equal, so each distinct query is scanned, sorted and scored
+    once and its values are copied back to every query that shares it, in
+    query order, before the means. The report is the same, bit for bit, as
+    ranking every query on its own.
     """
     query_codes, query_labels = np.asarray(query_codes), np.asarray(query_labels)
     if query_codes.shape[0] == 0:
@@ -314,11 +330,16 @@ def evaluate(query_codes, query_ids, query_labels, index: HammingIndex,
 
     q_words = _padded(np.packbits(query_codes > 0, axis=1), np.uint64)
     q_labels = _padded(np.packbits(query_labels > 0, axis=1), np.uint8)
-    own = [index.position.get(qid) for qid in query_ids]
+    own = np.array([index.position.get(qid, -1) for qid in query_ids], dtype=np.int64)
+    key = np.concatenate([q_words.view(np.uint8), q_labels,
+                          own.view(np.uint8).reshape(nq, 8)], axis=1)
+    _, first, inverse = np.unique(_as_void(key.T), return_index=True, return_inverse=True)
+    q_words, q_labels, own = q_words[first], q_labels[first], own[first]
+    nu = first.size
     cut = np.array(cutoffs, dtype=np.int64)
     ends = np.minimum(cut, len(index.ids))
-    aps, ap_at, rec_at = np.empty(nq), np.empty((nq, cut.size)), np.empty((nq, cut.size))
-    for s in range(0, nq, _BLOCK):
+    aps, ap_at, rec_at = np.empty(nu), np.empty((nu, cut.size)), np.empty((nu, cut.size))
+    for s in range(0, nu, _BLOCK):
         dist, rel = _distances_and_relevance(index, q_words[s:s + _BLOCK],
                                              q_labels[s:s + _BLOCK], own[s:s + _BLOCK])
         order = np.argsort(dist, axis=1, kind="stable")
@@ -333,6 +354,7 @@ def evaluate(query_codes, query_ids, query_labels, index: HammingIndex,
             aps[i] = prec[-1] / total
             ap_at[i] = prec[top] / np.minimum(cut, total)
             rec_at[i] = top / total
+    aps, ap_at, rec_at = aps[inverse], ap_at[inverse], rec_at[inverse]
     return EvalReport(
         map=float(np.mean(aps)),
         cutoffs=list(cutoffs),

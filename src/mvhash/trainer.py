@@ -287,15 +287,21 @@ def load_checkpoint(path) -> Checkpoint:
     body_at = _PREFIX + head_len
     try:
         header = json.loads(data[_PREFIX:body_at])
-        net = header["net"]
+        net, config, tensors, optim = (header[k] for k in ("net", "config", "tensors", "optim"))
         net_cfg = NetConfig(**net)
-        entries = [(e["name"], tuple(e["shape"])) for e in header["tensors"]]
-        has_optim = header["optim"] is not None
-        step = header["optim"]["step"] if has_optim else None
-        config = header["config"]
+        entries = [(e["name"], tuple(e["shape"])) for e in tensors]
+        has_optim = optim is not None
+        step = optim["step"] if has_optim else None
     except (ValueError, KeyError, TypeError) as e:
         raise ValueError(f"{path}: malformed checkpoint header "
                          f"({type(e).__name__}: {e})") from None
+    # Each object read above has every key it needs; it may hold no other.
+    for where, found, keys in [("header", header, {"net", "config", "tensors", "optim"}),
+                               ("header optim", optim or {}, {"step"}),
+                               *((f"header tensors[{i}]", e, {"name", "shape"})
+                                 for i, e in enumerate(tensors))]:
+        if unknown := set(found) - keys:
+            raise ValueError(f"{path}: {where} has unknown key {min(unknown)!r}")
     if json.dumps(net, sort_keys=True) != json.dumps(asdict(net_cfg), sort_keys=True):
         raise ValueError(f"{path}: header net {net!r} does not spell out {net_cfg}")
     if type(config) is not dict:

@@ -320,17 +320,22 @@ def retrieval_cases(draw):
     k = draw(st.sampled_from([1, 7, 8, 63, 64, 65, 130]))
     n = draw(st.integers(1, 40))
     nq = draw(st.integers(1, 2 * _BLOCK + 3))
+    kinds = draw(st.integers(1, nq))  # queries drawn from a few (code, labels, id) repeat
     categories = draw(st.integers(1, 10))
     distinct = draw(st.integers(1, 6))  # codes drawn from a few rows tie often
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     pool = random_codes(rng, distinct, k)
     corpus = pool[rng.integers(distinct, size=n)]
-    queries = np.where(rng.random((nq, k)) < 0.2, -pool[rng.integers(distinct, size=nq)],
-                       pool[rng.integers(distinct, size=nq)]).astype(np.int8)
+    queries = np.where(rng.random((kinds, k)) < 0.2, -pool[rng.integers(distinct, size=kinds)],
+                       pool[rng.integers(distinct, size=kinds)]).astype(np.int8)
     ids = [f"c{i}" for i in range(n)]
-    q_ids = [f"c{rng.integers(n)}" if rng.random() < 0.5 else f"q{i}" for i in range(nq)]
+    q_ids = [f"c{rng.integers(n)}" if rng.random() < 0.5 else f"q{i}" for i in range(kinds)]
     c_labels = (rng.random((n, categories)) < 0.3).astype(np.int8)
-    q_labels = (rng.random((nq, categories)) < 0.3).astype(np.int8)
+    q_labels = (rng.random((kinds, categories)) < 0.3).astype(np.int8)
+    # every kind at least once, the rest repeats, in shuffled order
+    rows = rng.permutation(np.concatenate([np.arange(kinds),
+                                           rng.integers(kinds, size=nq - kinds)]))
+    queries, q_labels, q_ids = queries[rows], q_labels[rows], [q_ids[r] for r in rows]
     cutoffs = draw(st.lists(st.integers(1, n + 5), max_size=4))
     return corpus, ids, c_labels, queries, q_ids, q_labels, cutoffs
 
@@ -357,6 +362,94 @@ class TestAgainstNaiveOracles:
         for q in queries:
             assert search(index, pack_code(q), k) == naive_search(corpus, ids, q, k)
 
+
+
+def ranked_rows(monkeypatch):
+    """A list that grows by the number of query rows each _scan call ranks."""
+    rows, scan = [], retrieval._scan
+    monkeypatch.setattr(retrieval, "_scan", lambda words, q, k: rows.append(len(q))
+                        or scan(words, q, k))
+    return rows
+
+
+def query_keys(index, queries, q_ids, q_labels):
+    """The distinct (code, label set, own row) of a query batch."""
+    return {(q.tobytes(), (ql > 0).tobytes(), index.position.get(qid))
+            for q, qid, ql in zip(queries, q_ids, q_labels)}
+
+
+class TestRepeatedQueries:
+    """Queries with an equal code, label set and own row share one ranking."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(retrieval_cases())
+    def test_each_query_as_if_alone(self, case):
+        corpus, ids, c_labels, queries, q_ids, q_labels, cutoffs = case
+        index = build_index(corpus, ids, c_labels)
+        report = evaluate(queries, q_ids, q_labels, index, cutoffs=cutoffs)
+        alone = [evaluate(queries[i:i + 1], q_ids[i:i + 1], q_labels[i:i + 1], index,
+                          cutoffs=cutoffs) for i in range(len(q_ids))]
+        assert report.per_query_ap == [r.map for r in alone]
+        for got, each in [(report.map_at_k, [r.map_at_k for r in alone]),
+                          (report.recall_at_k, [r.recall_at_k for r in alone])]:
+            assert got == pytest.approx(np.mean(each, axis=0).tolist(), abs=1e-15)
+        aps, ap_at, rec_at = naive_evaluate(corpus, ids, c_labels, queries, q_ids, q_labels,
+                                            sorted(cutoffs))
+        assert report.per_query_ap == pytest.approx(aps, abs=1e-15)
+        assert report.map_at_k == pytest.approx(ap_at, abs=1e-15)
+        assert report.recall_at_k == pytest.approx(rec_at, abs=1e-15)
+
+    def test_shuffled_repeats(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        n, kinds, k, categories = 300, 4, 24, 5
+        corpus = random_codes(rng, 6, k)[rng.integers(6, size=n)]
+        c_labels = (rng.random((n, categories)) < 0.3).astype(np.int8)
+        ids = [f"c{i}" for i in range(n)]
+        pool, pool_labels = corpus[:kinds], np.eye(categories, dtype=np.int8)[:kinds]
+        rows = rng.permutation(np.repeat(np.arange(kinds), [1, 2, 5, 9]))
+        queries, q_labels = pool[rows], pool_labels[rows]
+        q_ids = [f"q{i}" for i in range(len(rows))]
+        index = build_index(corpus, ids, c_labels)
+        rows_ranked = ranked_rows(monkeypatch)
+        report = evaluate(queries, q_ids, q_labels, index, cutoffs=(1, 10, 400))
+        assert sum(rows_ranked) == kinds
+        alone = [evaluate(pool[r:r + 1], ["q"], pool_labels[r:r + 1], index,
+                          cutoffs=(1, 10, 400)).map for r in range(kinds)]
+        assert report.per_query_ap == [alone[r] for r in rows]
+        aps, ap_at, rec_at = naive_evaluate(corpus, ids, c_labels, queries, q_ids, q_labels,
+                                            [1, 10, 400])
+        assert report.per_query_ap == pytest.approx(aps, abs=1e-15)
+        assert report.map_at_k == pytest.approx(ap_at, abs=1e-15)
+        assert report.recall_at_k == pytest.approx(rec_at, abs=1e-15)
+
+    def test_own_row_keeps_queries_apart(self, monkeypatch):
+        # Query "c0" drops its own item, query "q" keeps it: same code and labels,
+        # different rankings (AP 1/2 and (1 + 2/3) / 2).
+        corpus = np.array([[1, 1, 1], [-1, -1, -1], [1, 1, 1]], dtype=np.int8)
+        c_labels = np.array([[1, 0], [1, 0], [0, 1]], dtype=np.int8)
+        ids = ["c0", "c1", "c2"]
+        queries, q_labels = corpus[[0, 0, 0]], c_labels[[0, 0, 0]]
+        q_ids = ["c0", "q", "c0"]
+        rows = ranked_rows(monkeypatch)
+        report = evaluate(queries, q_ids, q_labels, build_index(corpus, ids, c_labels),
+                          cutoffs=(1, 2))
+        assert sum(rows) == 2
+        aps, ap_at, rec_at = naive_evaluate(corpus, ids, c_labels, queries, q_ids, q_labels,
+                                            [1, 2])
+        assert report.per_query_ap == pytest.approx([0.5, 5 / 6, 0.5], abs=1e-15)
+        assert report.per_query_ap == pytest.approx(aps, abs=1e-15)
+        assert report.map_at_k == pytest.approx(ap_at, abs=1e-15)
+        assert report.recall_at_k == pytest.approx(rec_at, abs=1e-15)
+
+    @settings(max_examples=30, deadline=None)
+    @given(retrieval_cases())
+    def test_one_scanned_row_per_distinct_query(self, case):
+        corpus, ids, c_labels, queries, q_ids, q_labels, cutoffs = case
+        index = build_index(corpus, ids, c_labels)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            rows = ranked_rows(monkeypatch)
+            evaluate(queries, q_ids, q_labels, index, cutoffs=cutoffs)
+        assert sum(rows) == len(query_keys(index, queries, q_ids, q_labels))
 
 
 @st.composite

@@ -405,6 +405,32 @@ class TestCheckpointValidation:
         rewrite_header(path, edit)
         assert key in assert_one_line_error(path)
 
+    @pytest.mark.parametrize("edit, where, key", [
+        (lambda h: h.update(extra="x"), "header", "extra"),
+        (lambda h: h["optim"].update(lr="NaN"), "header optim", "lr"),
+        (lambda h: h["tensors"][0].update(dtype="f2"), "header tensors[0]", "dtype"),
+    ], ids=["top-level", "optim", "tensor-entry"])
+    def test_unread_key_named(self, tmp_path, edit, where, key):
+        net_cfg = NetConfig((3, 2), 2, 3)
+        params = init_params(net_cfg, 0)
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, params, net_cfg, config={"seed": 0}, optim=init_optim(params))
+        rewrite_header(path, edit)
+        assert f"{where} has unknown key {key!r}" in assert_one_line_error(path)
+
+    @pytest.mark.parametrize("views, gated", [(None, True), (None, False), ((0,), True),
+                                              ((1,), False), ((0, 2), True)])
+    @pytest.mark.parametrize("config, with_optim", [(None, False), ({"seed": 3}, True)])
+    def test_every_written_file_loads(self, tmp_path, views, gated, config, with_optim):
+        net_cfg = NetConfig((3, 2, 4), 2, 5, views, gated)
+        params = init_params(net_cfg, 1)
+        optim = init_optim(params) if with_optim else None
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, params, net_cfg, config=config, optim=optim)
+        ckpt = load_checkpoint(path)
+        assert ckpt.net_cfg == net_cfg and params_equal(ckpt.params, params)
+        assert ckpt.config == (config or {}) and ckpt.step == (0 if with_optim else None)
+
     def test_format_1_rejected(self, tmp_path):
         net_cfg = NetConfig((3, 2), 2, 3)
         path = tmp_path / "ckpt.bin"
