@@ -93,8 +93,6 @@ def cmd_train(args) -> int:
     resolved = asdict(cfg)
     save_checkpoint(out / "checkpoint.bin", result.params, result.net_cfg,
                     config=resolved, optim=result.optim_state)
-    save_checkpoint(out / "checkpoint_best.bin", result.best_params, result.net_cfg,
-                    config={**resolved, "best_epoch": result.best_epoch})
     (out / "train_config.json").write_text(json.dumps(resolved, indent=2) + "\n")
     if result.records:
         export_curves(result.records, out / "curves.csv")
@@ -110,7 +108,7 @@ def _encoder(args):
     """The dataset, the checkpoint matched to it, and encode(split) -> sign codes
     from the checkpoint's own network; its stored training config is not read."""
     ckpt = load_checkpoint(args.checkpoint)
-    dataset = load_features(args.data)
+    dataset = load_features(args.data, read=("retrieval", "query"))
     if ckpt.net_cfg.view_dims != dataset.view_dims:
         raise ValueError(f"checkpoint {args.checkpoint} has view_dims "
                          f"{ckpt.net_cfg.view_dims}, dataset {args.data} has {dataset.view_dims}")

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import check_fields
 from .linalg import ShapeError, sigmoid
 
 __all__ = [
@@ -31,10 +32,11 @@ class LossConfig:
     w_d: float = 1.5  # softplus weight (dissimilar pairs still repel)
 
     def __post_init__(self):
-        if not 0.0 < self.lam <= 0.5:
-            raise ValueError(f"lam must be in (0, 0.5], got {self.lam}")
-        if self.mu < 0.0 or self.w_d < 0.0:
-            raise ValueError("mu and w_d must be nonnegative")
+        check_fields(self, lambda: (
+            ("lam", 0.0 < self.lam <= 0.5, "in (0, 0.5]"),
+            ("mu", self.mu >= 0.0, ">= 0"),
+            ("w_d", self.w_d >= 0.0, ">= 0"),
+        ))
 
     def block_size(self, batch_size: int) -> int:
         m = int(self.lam * batch_size)

@@ -109,9 +109,6 @@ class TrainResult:
     optim_state: OptimState
     records: list
     net_cfg: NetConfig
-    best_params: ModelParams
-    best_epoch: int
-    best_map: float
 
 
 def codes_for(split: Columns, params: ModelParams) -> np.ndarray:
@@ -134,10 +131,6 @@ def _test_map(dataset: DatasetSplit, params, views, gated) -> float:
     db_codes = binarize(codes_for(dataset.retrieval, params))
     index = build_index(db_codes, dataset.retrieval.ids, dataset.retrieval.labels)
     return evaluate(q_codes, dataset.query.ids, dataset.query.labels, index).map
-
-
-def _snapshot(params: ModelParams) -> ModelParams:
-    return ModelParams(params.cfg, params.buf.copy())
 
 
 def _gather(split: Columns, rows: np.ndarray, m: int):
@@ -180,7 +173,6 @@ def train(dataset: DatasetSplit, cfg: TrainConfig) -> TrainResult:
     rng = dropout_stream(cfg.seed)
     b = cfg.batch_size
     records = []
-    best_params, best_epoch, best_map = _snapshot(params), 0, -1.0
     for epoch in range(1, cfg.epochs + 1):
         t0 = time.perf_counter()
         losses = []
@@ -208,14 +200,10 @@ def train(dataset: DatasetSplit, cfg: TrainConfig) -> TrainResult:
         test_map = None
         if cfg.eval_every > 0 and (epoch % cfg.eval_every == 0 or epoch == cfg.epochs):
             test_map = _test_map(dataset, params, views, gated)
-            if test_map > best_map:
-                best_params, best_epoch, best_map = _snapshot(params), epoch, test_map
         wall_ms = (time.perf_counter() - t0) * 1e3
         records.append(EpochRecord(epoch, float(np.mean(losses)), test_map, wall_ms))
 
-    if best_map < 0:
-        best_params, best_epoch, best_map = _snapshot(params), cfg.epochs, float("nan")
-    return TrainResult(params, state, records, net_cfg, best_params, best_epoch, best_map)
+    return TrainResult(params, state, records, net_cfg)
 
 
 def export_curves(records, path) -> None:

@@ -173,9 +173,8 @@ class TestFlagsFromConfigs:
 
 class TestTrain:
     def test_artifacts(self, run_dir):
-        assert (run_dir / "checkpoint.bin").exists()
-        assert (run_dir / "checkpoint_best.bin").exists()
-        assert (run_dir / "curves.csv").exists()
+        assert sorted(p.name for p in run_dir.iterdir()) == [
+            "checkpoint.bin", "curves.csv", "train_config.json"]
         resolved = json.loads((run_dir / "train_config.json").read_text())
         assert resolved["epochs"] == 2 and resolved["lr"] == 1e-5
 
@@ -249,11 +248,11 @@ class TestSplitsRead:
         assert parsed == ["train", "retrieval", "query"]
 
     @pytest.mark.parametrize("command", ["eval", "search"])
-    def test_eval_and_search_parse_every_split(self, dataset_dir, run_dir, parsed, command,
-                                               capsys):
+    def test_eval_and_search_parse_retrieval_and_query(self, dataset_dir, run_dir, parsed,
+                                                       command, capsys):
         assert main([command, "--checkpoint", str(run_dir / "checkpoint.bin"),
                      "--data", str(dataset_dir)]) == 0
-        assert parsed == ["train", "retrieval", "query"]
+        assert parsed == ["retrieval", "query"]
 
 
 class TestGroupingBuiltBySearch:
@@ -441,15 +440,10 @@ class TestCheckpointMatchesDataset:
         assert main([command, "--checkpoint", str(checkpoint), "--data", str(dataset_dir)]) == 1
         assert str(checkpoint) in self.one_line_error(capsys)
 
-    def test_best_checkpoint_uses_stored_pipeline(self, dataset_dir, tmp_path, capsys):
-        out = tmp_path / "run"
-        assert main(["train", "--data", str(dataset_dir), "--out", str(out),
-                     "--epochs", "2", "--batch-size", "8", "--bits", "8",
-                     "--proj-dim", "4", "--eval-every", "1", "--seed", "3",
-                     "--ablation", "image-only"]) == 0
-        checkpoint = out / "checkpoint_best.bin"
+    def test_checkpoint_uses_stored_pipeline(self, ablation_runs, dataset_dir, capsys):
+        checkpoint = ablation_runs["image-only"]
         ckpt, split = load_checkpoint(checkpoint), load_features(dataset_dir)
-        assert "best_epoch" in ckpt.config and ckpt.net_cfg.views == (0,)
+        assert ckpt.net_cfg.views == (0,)
         capsys.readouterr()
         assert main(["search", "--checkpoint", str(checkpoint),
                      "--data", str(dataset_dir), "-k", "3"]) == 0

@@ -99,6 +99,14 @@ class TestBuildPairBlock:
         with pytest.raises(ValueError):
             LossConfig(lam=0.75)
 
+    @pytest.mark.parametrize("field, value", [
+        ("mu", float("nan")), ("w_d", float("nan")), ("mu", float("inf")),
+        ("w_d", float("inf")), ("mu", "0.5"), ("w_d", -1.0),
+    ])
+    def test_bad_weight_is_a_value_error_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            LossConfig(**{field: value})
+
 
 class TestMetricLoss:
     def single_pair(self, phi, s, w_d):
