@@ -17,9 +17,10 @@ to uint64 words:
   epoch and 6 after 200.
 - per distinct code, built by the first search(): each of the U distinct codes
   once, in order of its first row, with the rows grouped by code, and a
-  table from each code's zero-padded bytes to its number. search() first
-  looks the query's own code up in that table: when the code holds at least
-  k rows, its first k rows are the answer, with no scan. Otherwise it scans
+  table from each code's zero-padded bytes to the list of its rows' ids, in
+  row order. search() first looks the query's own code up in that table:
+  when the list holds at least k ids, its first k are the answer, one dict
+  lookup and one list slice with no scan. Otherwise it scans
   only the U codes, one XOR and one popcount per word, and finds the top k
   from the k-th smallest code distance, without a pass over the rows.
   Trained codes repeat heavily: the benchmark's 50k corpus holds 8,624
@@ -27,14 +28,16 @@ to uint64 words:
   queries find 10 rows in their own code, and the scan is several times
   shorter. With all codes distinct the lookup never answers at k > 1, the
   scan costs about 15% more than a scan of the rows, and the table about
-  125 bytes a code. Past the scan and its threshold, a query costs about
-  twenty numpy calls on the near codes and their rows.
+  160 bytes a code (7.9 MB, built in about 22 ms). Past the scan and its
+  threshold, a query costs about twenty numpy calls on the near codes and
+  their rows.
 
-With 50k items and K = 64, pack_code() + search() takes about 0.025 ms
+With 50k items and K = 64, pack_code() + search() takes about 0.012 ms
 per query, medians of ten benchmark runs on a 2-core Xeon with numpy 2.4;
-a query that its own code answers takes about 5 us in search() and one
-that scans 40-60 us. evaluate() takes about 0.6 ms per ranked query there,
-so a call costs that times its number of distinct queries: about 0.14 s
+pack_code() takes about 1.6 us, a query that its own code answers about
+0.5 us in search() and one that scans about 30 us (in-process medians).
+evaluate() takes about 0.6 ms per ranked query there, so a call costs that
+times its number of distinct queries: about 0.14 s
 for the benchmark's 1,000 queries, of which 205 are distinct, where
 ranking every query would take 0.58 s (in-process medians, same host).
 Grouping all-distinct queries costs under 0.1 ms per 200.
@@ -43,6 +46,7 @@ share at least one category.
 """
 
 import csv
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -75,6 +79,10 @@ class HashCode:
     words: bytes  # packed bits, big-endian within each byte; pad bits are 0
 
     def __post_init__(self):
+        if not isinstance(self.k, int) or type(self.k) is bool or self.k < 0:
+            raise ShapeError(f"HashCode k must be a non-negative int, got {self.k!r}")
+        if not isinstance(self.words, bytes):
+            raise ShapeError(f"HashCode words must be bytes, got {type(self.words).__name__}")
         if len(self.words) != (self.k + 7) // 8:
             raise ShapeError(f"{len(self.words)} bytes cannot hold {self.k} bits")
         if self.words and self.words[-1] & ((1 << -self.k % 8) - 1):
@@ -82,17 +90,35 @@ class HashCode:
 
 
 def _check_signs(codes, what):
-    if not (np.abs(codes) == 1).all():
+    if not ((codes == 1) | (codes == -1)).all():
         raise ShapeError(f"{what} must hold only +1/-1 entries")
 
 
+# bytes.translate table: int8 +1 (byte 0x01) -> "1", -1 (0xff) -> "0", any other byte -> "x"
+_BIT_DIGITS = b"x1" + b"x" * 253 + b"0"
+
+
 def pack_code(bits) -> HashCode:
-    """Pack a +/-1 vector into a HashCode."""
+    """Pack a +/-1 vector into a HashCode.
+
+    An int8 vector, as net.binarize returns, is packed without a numpy
+    ufunc: its bytes are translated to binary digits, which int() reads and
+    to_bytes() writes back zero-padded and big-endian; int() rejects the "x"
+    of any byte that is not +/-1. Any other dtype is checked and narrowed to
+    int8 first.
+    """
     bits = np.asarray(bits)
     if bits.ndim != 1:
         raise ShapeError("expected a 1-D +/-1 vector")
-    _check_signs(bits, "a code")
-    return HashCode(k=bits.shape[0], words=np.packbits(bits > 0).tobytes())
+    if bits.dtype != np.int8:
+        _check_signs(bits, "a code")
+        bits = np.where(bits == 1, np.int8(1), np.int8(-1))
+    k = len(bits)
+    try:
+        value = int(b"0" + bits.tobytes().translate(_BIT_DIGITS), 2)
+    except ValueError:
+        raise ShapeError("a code must hold only +1/-1 entries") from None
+    return HashCode(k, (value << -k % 8).to_bytes((k + 7) // 8, "big"))
 
 
 def _padded(packed, dtype) -> np.ndarray:
@@ -147,10 +173,12 @@ class HammingIndex:
 
     @cached_property
     def buckets(self) -> dict:
-        """Each distinct code's zero-padded bytes -> its column in grouping's distinct,
-        built by the first search() and kept."""
-        distinct = self.grouping[0]
-        return dict(zip(_as_void(distinct).tolist(), range(distinct.shape[1])))
+        """Each distinct code's zero-padded bytes -> the list of its rows' ids, in row
+        order, built by the first search() and kept."""
+        distinct, members, starts = self.grouping
+        ids, bounds = [self.ids[i] for i in members.tolist()], starts.tolist()
+        return dict(zip(_as_void(distinct).tolist(),
+                        (ids[a:b] for a, b in zip(bounds, bounds[1:]))))
 
 
 def _as_void(words):
@@ -188,6 +216,14 @@ def build_index(codes, ids, labels) -> HammingIndex:
                         position=position)
 
 
+def _integer(value, what) -> int:
+    """value as an int; Python and numpy integers pass, anything else is a ValueError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
 def search(index: HammingIndex, query: HashCode, k: int):
     """Ids of the k nearest codes; ties break by ascending insertion position.
 
@@ -213,15 +249,16 @@ def search(index: HammingIndex, query: HashCode, k: int):
     """
     if not index.ids:
         raise RuntimeError("index is empty")
+    k = _integer(k, "k")
     if k < 1:
         raise ValueError("k must be >= 1")
     if query.k != index.k:
         raise ShapeError(f"query has {query.k} bits, index stores {index.k}")
     distinct, members, starts = index.grouping
     padded = query.words.ljust(8 * len(distinct), b"\0")
-    u = index.buckets.get(padded)
-    if u is not None and starts[u + 1] - starts[u] >= k:
-        return [index.ids[i] for i in members[starts[u]:starts[u] + k].tolist()]
+    hits = index.buckets.get(padded)
+    if hits is not None and len(hits) >= k:
+        return hits[:k]
     q = np.frombuffer(padded, dtype=np.uint64)
     dist = np.bitwise_count(distinct[0] ^ q[0])
     if len(q) > 1:  # pad bits cancel under XOR, so no distance exceeds index.k
@@ -313,7 +350,7 @@ def evaluate(query_codes, query_ids, query_labels, index: HammingIndex,
     query_codes, query_labels = np.asarray(query_codes), np.asarray(query_labels)
     if query_codes.shape[0] == 0:
         raise ValueError("empty query split")
-    cutoffs = sorted(int(c) for c in cutoffs)
+    cutoffs = sorted(_integer(c, "a cutoff") for c in cutoffs)
     if cutoffs and cutoffs[0] < 1:
         raise ValueError(f"cutoffs must be >= 1, got {[c for c in cutoffs if c < 1]}")
     nq = query_codes.shape[0]

@@ -77,6 +77,66 @@ class TestPacking:
         code = pack_code(np.ones(5, dtype=np.int8))
         assert np.frombuffer(code.words, dtype=np.uint8)[0] & 0b00000111 == 0
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_packbits(self, data):
+        bits = data.draw(packing_inputs())
+        try:
+            expected = reference_pack(bits)
+        except ShapeError as e:
+            with pytest.raises(ShapeError) as exc:
+                pack_code(bits)
+            assert str(exc.value) == str(e)
+        else:
+            assert pack_code(bits) == expected
+
+    @pytest.mark.parametrize("k", [1, 9, 64])
+    def test_every_other_int8_byte_rejected(self, k):
+        bits = np.where(np.arange(k) % 3 == 0, 1, -1).astype(np.int8)
+        for value in set(range(-128, 128)) - {1, -1}:
+            for at in range(k):
+                bad = bits.copy()
+                bad[at] = value
+                with pytest.raises(ShapeError, match=r"^a code must hold only \+1/-1 entries$"):
+                    pack_code(bad)
+
+
+def reference_pack(bits):
+    """pack_code by np.packbits, with the sign check as a loop over the entries."""
+    bits = np.asarray(bits)
+    if bits.ndim != 1:
+        raise ShapeError("expected a 1-D +/-1 vector")
+    if not all(x == 1 or x == -1 for x in bits.tolist()):
+        raise ShapeError("a code must hold only +1/-1 entries")
+    return HashCode(len(bits), np.packbits(bits > 0).tobytes())
+
+
+PACKING_DTYPES = [np.int8, np.int16, np.int64, np.uint8, np.float16, np.float32, np.float64,
+                  np.bool_, object, list]
+
+
+@st.composite
+def packing_inputs(draw):
+    """A +/-1 vector of 0-130 entries, sometimes with one entry that is not a
+    sign, as an array of one of PACKING_DTYPES (maybe a strided view) or a list."""
+    k = draw(st.integers(0, 130))
+    kind = draw(st.sampled_from(PACKING_DTYPES))
+    floating = kind in (np.float16, np.float32, np.float64, object, list)
+    values = np.array(draw(st.lists(st.sampled_from([1, -1]), min_size=k, max_size=k)),
+                      dtype=np.float64 if floating else np.int64)
+    if k and draw(st.booleans()):
+        bad = [0, 2, -2, 3, 127] + ([0.5, -1.5, np.nan, np.inf] if floating else [])
+        values[draw(st.integers(0, k - 1))] = draw(st.sampled_from(bad))
+    if kind is list:
+        return values.tolist()
+    bits = values.astype(kind)
+    stride = draw(st.sampled_from([1, 2, -1]))
+    if stride != 1:  # the same entries, read through a strided view of a larger array
+        wide = np.zeros(2 * k, dtype=bits.dtype)
+        wide[::2] = bits
+        bits = wide[::2] if stride == 2 else wide[::-2][::-1]
+    return bits
+
 
 class TestHammingDistance:
     def test_identical(self):
@@ -273,6 +333,56 @@ class TestValidation:
         codes[1, 3] = 0.5
         with pytest.raises(ShapeError):
             evaluate(codes, ["q0", "q1"], np.eye(3)[:2], self.index())
+
+    @pytest.mark.parametrize("caller", ["pack_code", "build_index", "evaluate"])
+    def test_complex_unit_entries(self, caller):
+        codes = np.ones((2, 8), dtype=complex)
+        codes[1, 2] = -1j
+        call = {"pack_code": lambda: pack_code(codes[1]),
+                "build_index": lambda: build_index(codes, ["a", "b"], np.ones((2, 1))),
+                "evaluate": lambda: evaluate(codes, ["q0", "q1"], np.eye(3)[:2], self.index())}
+        with pytest.raises(ShapeError, match=r"must hold only \+1/-1 entries$"):
+            call[caller]()
+
+    def test_true_is_plus_one(self):
+        assert pack_code(np.ones(10, dtype=bool)) == pack_code(np.ones(10, dtype=np.int8))
+        assert pack_code([True, -1]) == pack_code(np.array([1, -1], dtype=np.int8))
+
+    @pytest.mark.parametrize("k,words,field", [
+        (8, bytearray(b"\xaf"), "words"),
+        (8, "a", "words"),
+        (8, [175], "words"),
+        (-1, b"", "k"),
+        (True, b"\x80", "k"),
+        (8.0, b"\xaf", "k"),
+        ("8", b"\xaf", "k"),
+    ])
+    def test_hash_code_types(self, k, words, field):
+        with pytest.raises(ShapeError, match=f"^HashCode {field} must be ") as exc:
+            HashCode(k, words)
+        assert "\n" not in str(exc.value)
+
+    @pytest.mark.parametrize("k", [2.5, 2.0, np.float64(2.0), "2", None])
+    def test_search_k_not_an_integer(self, k):
+        with pytest.raises(ValueError, match="^k must be an integer, got ") as exc:
+            search(self.index(), pack_code(np.ones(8, dtype=np.int8)), k)
+        assert repr(k) in str(exc.value)
+
+    @pytest.mark.parametrize("k", [np.int64(2), np.int8(3), np.uint16(4), True])
+    def test_search_k_integer_types(self, k):
+        index, q = self.index(), pack_code(np.ones(8, dtype=np.int8))
+        assert search(index, q, k) == search(index, q, int(k))
+
+    @pytest.mark.parametrize("bad", [(1.9,), (5, 2.0), (np.float32(3),), ("10",)])
+    def test_cutoff_not_an_integer(self, bad):
+        with pytest.raises(ValueError, match="^a cutoff must be an integer, got ") as exc:
+            evaluate(np.ones((2, 8)), ["q0", "q1"], np.eye(3)[:2], self.index(), cutoffs=bad)
+        assert "\n" not in str(exc.value)
+
+    def test_cutoff_integer_types(self):
+        args = np.ones((2, 8)), ["q0", "q1"], np.eye(3)[:2], self.index()
+        assert (evaluate(*args, cutoffs=np.array([1, 4], dtype=np.int16))
+                == evaluate(*args, cutoffs=(1, 4)))
 
     def test_duplicate_ids(self):
         with pytest.raises(ValueError, match="unique"):
@@ -505,6 +615,19 @@ class TestDistinctCodes:
                                   np.repeat(distinct[:, u:u + 1], rows.size, axis=1))
         assert len({tuple(col) for col in distinct.T}) == len(starts) - 1
 
+    @settings(max_examples=50, deadline=None)
+    @given(grouped_cases())
+    def test_buckets(self, case):
+        corpus, ids, _ = case
+        index = build_index(corpus, ids, np.ones((len(ids), 1), dtype=np.int8))
+        distinct, members, starts = index.grouping
+        assert len(index.buckets) == distinct.shape[1]
+        for u in range(distinct.shape[1]):
+            rows = members[starts[u]:starts[u + 1]]
+            key = pack_code(corpus[rows[0]]).words.ljust(distinct.itemsize * len(distinct),
+                                                         b"\0")
+            assert index.buckets[key] == [ids[r] for r in sorted(rows)]
+
     @pytest.mark.parametrize("top", [10, 25])
     def test_fewer_codes_than_k(self, top):
         rng = np.random.default_rng(9)
@@ -565,6 +688,18 @@ class TestOwnBucket:
             raise AssertionError("distance scan")
         monkeypatch.setattr(retrieval.np, "bitwise_count", no_scan)
         assert search(index, pack_code(a), top) == expected
+
+
+    @pytest.mark.parametrize("extra", [0, 3])
+    def test_answer_is_a_fresh_list(self, extra):
+        top = 4
+        corpus, ids, a = bucket_case(64, top + extra, top)
+        index = build_index(corpus, ids, np.ones((len(ids), 1), dtype=np.int8))
+        first = search(index, pack_code(a), top)
+        expected = list(first)
+        first.append("x")
+        first[0] = "y"
+        assert search(index, pack_code(a), top) == expected == naive_search(corpus, ids, a, top)
 
 
 def tie_heavy_case(k, categories, seed):
