@@ -223,8 +223,11 @@ def load_features(manifest_path, read=SPLITS) -> DatasetSplit:
 
     Every split's manifest entry, files and feature byte length are
     checked; only the splits named in `read` are parsed and validated row
-    by row, and the others are None.
+    by row, and the others are None. A name in `read` that is not in SPLITS
+    is a ValueError.
     """
+    if unknown := [name for name in read if name not in SPLITS]:
+        raise ValueError(f"read: unknown split {unknown[0]!r}, expected names from {SPLITS}")
     path = Path(manifest_path)
     if path.is_dir():
         path = path / MANIFEST_NAME

@@ -6,23 +6,22 @@ to uint64 words:
 
 - per row: one contiguous row of N words per word of the code, beside the
   multi-hot labels packed to bits, one row of N per byte. evaluate()
-  scans it once per distinct query: queries with an equal code, label set
-  and own row (the corpus row of their id, if any) rank the corpus alike,
-  so each such group is ranked once and its values copied to every member.
-  Per ranked query, one XOR and one ``np.bitwise_count`` per word row
-  gives its distances to every item, ranked by a stable sort on those
-  small integers, and its AP comes from one prefix sum over its relevant
-  ranks. Trained codes repeat: the benchmark's 1,000 queries hold about
-  205 distinct groups, and the acceptance dataset's 200 hold 26 after one
-  epoch and 6 after 200.
+  ranks one distinct query at a time: queries with an equal code, label
+  set and own row (the corpus row of their id, if any) rank the corpus
+  alike, so each such group is ranked once and its values copied to every
+  member. A ranked query costs one _scan() of the rows, a label AND per
+  byte row, a stable sort of its small-integer distances and one prefix
+  sum over its relevant ranks. Trained codes repeat: the benchmark's 1,000
+  queries hold about 205 distinct groups, and the acceptance dataset's 200
+  hold 26 after one epoch and 6 after 200.
 - per distinct code, built by the first search(): each of the U distinct codes
   once, in order of its first row, with the rows grouped by code, and a
   table from each code's zero-padded bytes to the list of its rows' ids, in
   row order. search() first looks the query's own code up in that table:
   when the list holds at least k ids, its first k are the answer, one dict
-  lookup and one list slice with no scan. Otherwise it scans
-  only the U codes, one XOR and one popcount per word, and finds the top k
-  from the k-th smallest code distance, without a pass over the rows.
+  lookup and one list slice with no scan. Otherwise it scans only the U
+  codes with the same _scan() and finds the top k from the k-th smallest
+  code distance, without a pass over the rows.
   Trained codes repeat heavily: the benchmark's 50k corpus holds 8,624
   distinct codes, 18 of which hold 81% of its rows, so about 80% of its
   queries find 10 rows in their own code, and the scan is several times
@@ -36,10 +35,11 @@ With 50k items and K = 64, pack_code() + search() takes about 0.012 ms
 per query, medians of ten benchmark runs on a 2-core Xeon with numpy 2.4;
 pack_code() takes about 1.6 us, a query that its own code answers about
 0.5 us in search() and one that scans about 30 us (in-process medians).
-evaluate() takes about 0.6 ms per ranked query there, so a call costs that
-times its number of distinct queries: about 0.14 s
-for the benchmark's 1,000 queries, of which 205 are distinct, where
-ranking every query would take 0.58 s (in-process medians, same host).
+evaluate() takes about 0.34 ms per ranked query there, so a call costs that
+times its number of distinct queries: about 0.07 s for the benchmark's
+1,000 queries, of which 205 are distinct (in-process medians, same host).
+_scan() is the only distance computation: one query against the N columns
+of a word-major array, the index's rows or search()'s distinct codes.
 Grouping all-distinct queries costs under 0.1 ms per 200.
 Relevance between a query and a corpus item means their multi-hot labels
 share at least one category.
@@ -67,11 +67,6 @@ __all__ = [
     "evaluate",
     "write_report_csv",
 ]
-
-# Queries ranked together in evaluate(); keeps each block's (B, N)
-# temporaries to a few MB at N = 50k.
-_BLOCK = 16
-
 
 @dataclass(frozen=True)
 class HashCode:
@@ -133,19 +128,18 @@ def _padded(packed, dtype) -> np.ndarray:
 
 
 def _scan(words, q, k) -> np.ndarray:
-    """(B, N) distances from query words q (B, W) to word-major codes (W, N).
+    """Distances from one query's words q (W,) to the N columns of word-major codes (W, N).
 
-    Per query, one XOR and one popcount per word, each over a contiguous
-    row of N words into one reused buffer; pad bits cancel under XOR. The
-    result type also holds k + 1, the distance evaluate() gives an
-    excluded item.
+    One XOR and one popcount per word, each over a contiguous row of N
+    words; pad bits cancel under XOR. From the second word on the sum is
+    kept in the smallest type that holds k + 1, the distance evaluate()
+    gives an excluded item; one word's popcounts are uint8, which holds 65.
     """
-    dist = np.empty((len(q), words.shape[1]), dtype=np.min_scalar_type(k + 1))
-    x = np.empty(words.shape[1], dtype=np.uint64)
-    for row, q_row in zip(dist, q):
-        np.bitwise_count(np.bitwise_xor(words[0], q_row[0], out=x), out=row)
-        for w in range(1, len(words)):
-            row += np.bitwise_count(np.bitwise_xor(words[w], q_row[w], out=x))
+    dist = np.bitwise_count(words[0] ^ q[0])
+    if len(q) > 1:
+        dist = dist.astype(np.min_scalar_type(k + 1))
+        for w in range(1, len(q)):
+            dist += np.bitwise_count(words[w] ^ q[w])
     return dist
 
 
@@ -236,16 +230,15 @@ def search(index: HammingIndex, query: HashCode, k: int):
     scan.
 
     Otherwise only the U distinct codes are scanned: the padded bytes are
-    read as the index's uint64 words, and each word costs one XOR and one
-    popcount over a contiguous row of U words. Every code holds at
-    least one row, so with t the smallest distance within which lie
-    c = min(k, U) codes, the k nearest rows all lie within t. Fewer than c
-    codes lie below t, and at t only the first c - |below| codes in
-    first-row order can contribute: any later code's rows follow one row
-    of each of them. When exactly c codes lie within t, none is dropped and
-    that cut is skipped. No code contributes more than its first k rows.
-    Those at most c * k candidates are ordered by (distance, row) and cut
-    to k.
+    read as the index's uint64 words and _scan() gives their distance to
+    each code. Every code holds at least one row, so with t the smallest
+    distance within which lie c = min(k, U) codes, the k nearest rows all
+    lie within t. Fewer than c codes lie below t, and at t only the first
+    c - |below| codes in first-row order can contribute: any later code's
+    rows follow one row of each of them. When exactly c codes lie within
+    t, none is dropped and that cut is skipped. No code contributes more
+    than its first k rows. Those at most c * k candidates are ordered by
+    (distance, row) and cut to k.
     """
     if not index.ids:
         raise RuntimeError("index is empty")
@@ -259,12 +252,7 @@ def search(index: HammingIndex, query: HashCode, k: int):
     hits = index.buckets.get(padded)
     if hits is not None and len(hits) >= k:
         return hits[:k]
-    q = np.frombuffer(padded, dtype=np.uint64)
-    dist = np.bitwise_count(distinct[0] ^ q[0])
-    if len(q) > 1:  # pad bits cancel under XOR, so no distance exceeds index.k
-        dist = dist.astype(np.min_scalar_type(index.k))
-        for w in range(1, len(q)):
-            dist += np.bitwise_count(distinct[w] ^ q[w])
+    dist = _scan(distinct, np.frombuffer(padded, dtype=np.uint64), index.k)
     c = min(k, dist.size)
     t = dist.min()  # in dist's dtype, which holds index.k, the largest t can reach
     while (near := (dist <= t).nonzero()[0]).size < c:
@@ -314,25 +302,6 @@ class EvalReport:
     per_query_ap: list
 
 
-def _distances_and_relevance(index, q_words, q_labels, own):
-    """(B, N) distances and relevance of a block of queries.
-
-    A query's own corpus item (row own[i], or -1 for none) gets distance
-    k + 1 and relevance 0: it ranks last and leaves every metric as if it
-    were removed.
-    """
-    dist = _scan(index.words, q_words, index.k)
-    shared = index.labels[0] & q_labels[:, :1]
-    for byte in range(1, len(index.labels)):
-        shared |= index.labels[byte] & q_labels[:, byte:byte + 1]
-    rel = shared != 0
-    for row, j in enumerate(own.tolist()):
-        if j >= 0:
-            dist[row, j] = index.k + 1
-            rel[row, j] = False
-    return dist, rel
-
-
 def evaluate(query_codes, query_ids, query_labels, index: HammingIndex,
              cutoffs=()) -> EvalReport:
     """Full-ranking mAP plus mAP@K / Recall@K at each cutoff.
@@ -376,21 +345,25 @@ def evaluate(query_codes, query_ids, query_labels, index: HammingIndex,
     cut = np.array(cutoffs, dtype=np.int64)
     ends = np.minimum(cut, len(index.ids))
     aps, ap_at, rec_at = np.empty(nu), np.empty((nu, cut.size)), np.empty((nu, cut.size))
-    for s in range(0, nu, _BLOCK):
-        dist, rel = _distances_and_relevance(index, q_words[s:s + _BLOCK],
-                                             q_labels[s:s + _BLOCK], own[s:s + _BLOCK])
-        order = np.argsort(dist, axis=1, kind="stable")
-        for i, (rel_i, order_i) in enumerate(zip(rel, order), start=s):
-            hit = rel_i.take(order_i).nonzero()[0]  # rank - 1 of each relevant item
-            # prec[m]: sum of precision@rank over the first m relevant items
-            prec = np.zeros(hit.size + 1)
-            np.divide(np.arange(1.0, hit.size + 1), hit + 1.0, out=prec[1:])
-            np.add.accumulate(prec, out=prec)
-            top = hit.searchsorted(ends)  # relevant items within each cutoff
-            total = max(hit.size, 1)
-            aps[i] = prec[-1] / total
-            ap_at[i] = prec[top] / np.minimum(cut, total)
-            rec_at[i] = top / total
+    for i, (q_i, labels_i, own_i) in enumerate(zip(q_words, q_labels, own.tolist())):
+        dist = _scan(index.words, q_i, index.k)
+        shared = index.labels[0] & labels_i[0]
+        for byte in range(1, len(index.labels)):
+            shared |= index.labels[byte] & labels_i[byte]
+        rel = shared != 0
+        if own_i >= 0:  # the query's own item ranks last and is not relevant: as if removed
+            dist[own_i] = index.k + 1
+            rel[own_i] = False
+        hit = rel.take(dist.argsort(kind="stable")).nonzero()[0]  # rank - 1 of each relevant item
+        # prec[m]: sum of precision@rank over the first m relevant items
+        prec = np.zeros(hit.size + 1)
+        np.divide(np.arange(1.0, hit.size + 1), hit + 1.0, out=prec[1:])
+        np.add.accumulate(prec, out=prec)
+        top = hit.searchsorted(ends)  # relevant items within each cutoff
+        total = max(hit.size, 1)
+        aps[i] = prec[-1] / total
+        ap_at[i] = prec[top] / np.minimum(cut, total)
+        rec_at[i] = top / total
     aps, ap_at, rec_at = aps[inverse], ap_at[inverse], rec_at[inverse]
     return EvalReport(
         map=float(np.mean(aps)),

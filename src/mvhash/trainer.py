@@ -236,6 +236,13 @@ class Checkpoint:
     step: int = None  # optimizer steps taken; None for a checkpoint saved without one
 
 
+def _check_finite(path, params: ModelParams) -> None:
+    """A ValueError naming path and the first tensor that holds a NaN or +/-inf."""
+    if not np.isfinite(params.buf).all():
+        name = next(n for n, t in params.tensors() if not np.isfinite(t).all())
+        raise ValueError(f"{path}: tensor {name!r} holds a non-finite value")
+
+
 def save_checkpoint(path, params: ModelParams, net_cfg: NetConfig,
                     config: dict = None, optim: OptimState = None) -> None:
     """Bit-exact, self-describing container; byte-identical for equal inputs.
@@ -243,10 +250,12 @@ def save_checkpoint(path, params: ModelParams, net_cfg: NetConfig,
     The header's net is the whole network, its structure included; the body
     is the parameter buffer, little-endian float64 in `net_cfg.layout()`
     order. Of the optimizer only the step is recorded. config is stored as
-    provenance and read by nothing.
+    provenance and read by nothing. Non-finite parameters are refused and
+    nothing is written.
     """
     if params.cfg != net_cfg:
         raise ValueError(f"parameters are laid out for {params.cfg}, not {net_cfg}")
+    _check_finite(path, params)
     header = {
         "net": asdict(net_cfg),
         "config": config or {},
@@ -262,7 +271,8 @@ def save_checkpoint(path, params: ModelParams, net_cfg: NetConfig,
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint; any malformed, truncated or padded file is a ValueError."""
+    """Read a checkpoint; any malformed, truncated or padded file, or one whose
+    parameters hold a NaN or +/-inf, is a ValueError."""
     data = Path(path).read_bytes()
     if data[:len(_MAGIC)] == b"MVHCKPT1":
         raise ValueError(f"{path}: checkpoint format MVHCKPT1 predates this version, "
@@ -307,5 +317,6 @@ def load_checkpoint(path) -> Checkpoint:
         raise ValueError(f"{path}: {len(data)} bytes, expected {body_at + n * 8} for "
                          f"{n} float64 parameters")
     flat = np.frombuffer(data, dtype="<f8", offset=body_at).astype(np.float64)
-    return Checkpoint(params=ModelParams(net_cfg, flat), net_cfg=net_cfg, config=config,
-                      step=step)
+    params = ModelParams(net_cfg, flat)
+    _check_finite(path, params)
+    return Checkpoint(params=params, net_cfg=net_cfg, config=config, step=step)

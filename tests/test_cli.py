@@ -536,6 +536,20 @@ class TestCorruptCheckpoint:
             assert code == 1 and out == "" and len(err.splitlines()) == 1
             assert str(checkpoint) in err and "MVHCKPT1" in err
 
+    @pytest.mark.parametrize("name, value", [("norm_w.1", np.nan), ("hash_b", np.inf),
+                                             ("fusion_b", -np.inf)])
+    def test_non_finite_parameter_is_one_line_naming_it(self, run_dir, dataset_dir, tmp_path,
+                                                        name, value):
+        params = load_checkpoint(run_dir / "checkpoint.bin").params
+        dict(params.tensors())[name].flat[0] = value
+        body = params.buf.astype("<f8").tobytes()
+        checkpoint = tmp_path / "non_finite.bin"
+        checkpoint.write_bytes((run_dir / "checkpoint.bin").read_bytes()[:-len(body)] + body)
+        for command in self.COMMANDS:
+            code, out, err = self.run(command, checkpoint, dataset_dir)
+            assert (code, out) == (1, "")
+            assert err == f"error: {checkpoint}: tensor {name!r} holds a non-finite value\n"
+
 
 class TestCorruptDataset:
     """One corruption of a dataset file: train, eval and search then give the clean

@@ -61,6 +61,14 @@ class TestRoundTrip:
         with pytest.raises(DatasetError, match="query"):
             load_features(tmp_path, read=("train",))
 
+    @pytest.mark.parametrize("read", [("train", "qury"), ("Train",), ("train", None)])
+    def test_unknown_split_named(self, tmp_path, read):
+        write_features(tiny_split(), tmp_path)
+        with pytest.raises(ValueError) as info:
+            load_features(tmp_path, read=read)
+        assert str(info.value) == (f"read: unknown split {read[-1]!r}, "
+                                   "expected names from ('train', 'retrieval', 'query')")
+
 
 class TestValidation:
     def test_missing_manifest(self, tmp_path):

@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from mvhash import retrieval
 from mvhash.linalg import ShapeError
-from mvhash.retrieval import (_BLOCK, EvalReport, HashCode, average_precision, build_index,
-                              evaluate, hamming_distance, pack_code, search,
-                              write_report_csv)
+from mvhash.retrieval import (EvalReport, HashCode, average_precision, build_index, evaluate,
+                              hamming_distance, pack_code, search, write_report_csv)
 
 
 def random_codes(rng, n, k):
@@ -429,7 +428,7 @@ def retrieval_cases(draw):
     """A corpus, queries and cutoffs with many ties, own ids and wide codes."""
     k = draw(st.sampled_from([1, 7, 8, 63, 64, 65, 130]))
     n = draw(st.integers(1, 40))
-    nq = draw(st.integers(1, 2 * _BLOCK + 3))
+    nq = draw(st.integers(1, 35))
     kinds = draw(st.integers(1, nq))  # queries drawn from a few (code, labels, id) repeat
     categories = draw(st.integers(1, 10))
     distinct = draw(st.integers(1, 6))  # codes drawn from a few rows tie often
@@ -475,9 +474,9 @@ class TestAgainstNaiveOracles:
 
 
 def ranked_rows(monkeypatch):
-    """A list that grows by the number of query rows each _scan call ranks."""
+    """A list that grows by 1 per _scan call: a call ranks one query."""
     rows, scan = [], retrieval._scan
-    monkeypatch.setattr(retrieval, "_scan", lambda words, q, k: rows.append(len(q))
+    monkeypatch.setattr(retrieval, "_scan", lambda words, q, k: rows.append(1)
                         or scan(words, q, k))
     return rows
 
@@ -689,6 +688,20 @@ class TestOwnBucket:
         monkeypatch.setattr(retrieval.np, "bitwise_count", no_scan)
         assert search(index, pack_code(a), top) == expected
 
+    @pytest.mark.parametrize("bits", [10, 64, 130])
+    @pytest.mark.parametrize("own", [0, 3, 4, 5])
+    def test_one_scan_of_the_distinct_codes(self, bits, own, monkeypatch):
+        # a code of own < top rows misses its bucket and scans; one of top rows or more does not
+        top = 4
+        corpus, ids, a = bucket_case(bits, own, top)
+        index = build_index(corpus, ids, np.ones((len(ids), 1), dtype=np.int8))
+        distinct = index.grouping[0]
+        scanned, scan = [], retrieval._scan
+        monkeypatch.setattr(retrieval, "_scan", lambda words, q, k: scanned.append(words)
+                            or scan(words, q, k))
+        assert search(index, pack_code(a), top) == naive_search(corpus, ids, a, top)
+        assert len(scanned) == (own < top)
+        assert all(words is distinct for words in scanned)
 
     @pytest.mark.parametrize("extra", [0, 3])
     def test_answer_is_a_fresh_list(self, extra):
@@ -708,7 +721,7 @@ def tie_heavy_case(k, categories, seed):
     rng = np.random.default_rng(seed)
     pool = random_codes(rng, 3, k)
     pool = np.concatenate([pool, -pool])
-    n, nq = 40, _BLOCK + 5
+    n, nq = 40, 21
     corpus = pool[rng.integers(len(pool), size=n)]
     flips = np.where(rng.random((nq, k)) < 0.05, -1, 1)
     flips[::3] = 1  # exact pool rows: complements sit at distance k

@@ -430,6 +430,29 @@ class TestCheckpointValidation:
         assert ckpt.net_cfg == net_cfg and params_equal(ckpt.params, params)
         assert ckpt.config == (config or {}) and ckpt.step == (0 if with_optim else None)
 
+    @pytest.mark.parametrize("names", [("norm_w.1",), ("hash_b",), ("fusion_b",),
+                                       ("hash_b", "norm_w.1")])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameter_named(self, tmp_path, names, value):
+        net_cfg = NetConfig((3, 2), 2, 3)
+        params = init_params(net_cfg, 0)
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, params, net_cfg)
+        tensors = dict(params.tensors())
+        for name in names:
+            tensors[name].flat[-1] = value
+        first = min(names, key=list(tensors).index)  # in buffer order
+        # the file as the writer would lay it out; save_checkpoint itself refuses it
+        body = params.buf.astype("<f8").tobytes()
+        path.write_bytes(path.read_bytes()[:-len(body)] + body)
+        expected = f"{path}: tensor {first!r} holds a non-finite value"
+        assert assert_one_line_error(path) == expected
+        refused = tmp_path / "refused.bin"
+        with pytest.raises(ValueError) as info:
+            save_checkpoint(refused, params, net_cfg)
+        assert str(info.value) == f"{refused}: tensor {first!r} holds a non-finite value"
+        assert not refused.exists()
+
     def test_format_1_rejected(self, tmp_path):
         net_cfg = NetConfig((3, 2), 2, 3)
         path = tmp_path / "ckpt.bin"
