@@ -221,10 +221,11 @@ def _read_records(name, rec_path, count, categories):
 def load_features(manifest_path, read=SPLITS) -> DatasetSplit:
     """Load and validate a dataset from its manifest.
 
-    Every split's manifest entry, files and feature byte length are
-    checked; only the splits named in `read` are parsed and validated row
-    by row, and the others are None. A name in `read` that is not in SPLITS
-    is a ValueError.
+    The manifest may hold only the keys write_features writes. Every
+    split's manifest entry, files and feature byte length are checked;
+    only the splits named in `read` are parsed and validated row by row,
+    and the others are None. A name in `read` that is not in SPLITS is a
+    ValueError.
     """
     if unknown := [name for name in read if name not in SPLITS]:
         raise ValueError(f"read: unknown split {unknown[0]!r}, expected names from {SPLITS}")
@@ -246,6 +247,11 @@ def load_features(manifest_path, read=SPLITS) -> DatasetSplit:
             raise DatasetError(f"manifest {path}: {where}{key} {bad} ({table[key]!r})")
         return table[key]
 
+    def known(table, keys, where=""):
+        """A DatasetError naming the first key of table, if a dict, that is not in keys."""
+        if isinstance(table, dict) and (unknown := sorted(set(table) - set(keys))):
+            raise DatasetError(f"manifest {path}: unknown key '{where}{unknown[0]}'")
+
     # exact types, so a bool, a float or a numeric string never passes
     def positive(v):
         return None if type(v) is int and v > 0 else "is not a positive integer"
@@ -263,15 +269,18 @@ def load_features(manifest_path, read=SPLITS) -> DatasetSplit:
         ok = type(v) is str and Path(v).name == v and v != ".."
         return None if ok else "is not a file name inside the dataset directory"
 
+    known(manifest, ("view_dims", "categories", "splits"))
     view_dims = tuple(require(manifest, "view_dims", problem=dims))
     categories = require(manifest, "categories", problem=positive)
     split_table = require(manifest, "splits")
+    known(split_table, SPLITS, "splits.")
     total_dim = sum(view_dims)
     base = path.parent
 
     splits, counts = {}, []
     for name in SPLITS:
         entry, where = require(split_table, name, "splits."), f"splits.{name}."
+        known(entry, ("features", "records", "count"), where)
         feat_path = base / require(entry, "features", where, file_name)
         rec_path = base / require(entry, "records", where, file_name)
         count = require(entry, "count", where, non_negative)

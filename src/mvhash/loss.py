@@ -117,10 +117,13 @@ def total_loss(H: np.ndarray, labels, cfg: LossConfig, metric_weight: float = 1.
     Both terms cover only the blocks H[:m] and H[b-m:], which are disjoint
     because m = int(lam*b) <= b/2; rows between them get zero gradient. The
     quantization term sums || |h| - 1 ||_2 over the 2m block rows and divides
-    by b, not 2m. metric_weight exists for the ablation that removes the
-    metric term entirely (set it to 0). sim, when given, is the (m, m)
-    pairwise_similarity of labels[:m] and labels[b-m:], taken as it is.
+    by b, not 2m. metric_weight is 1.0, or 0.0 for the ablation that removes
+    the metric term entirely; any other value is a ValueError. sim, when
+    given, is the (m, m) pairwise_similarity of labels[:m] and labels[b-m:],
+    taken as it is.
     """
+    if metric_weight not in (0.0, 1.0):
+        raise ValueError(f"metric_weight must be 0.0 or 1.0, got {metric_weight!r}")
     H = np.asarray(H, dtype=np.float64)
     b = H.shape[0]
     if b < 2:
@@ -136,9 +139,7 @@ def total_loss(H: np.ndarray, labels, cfg: LossConfig, metric_weight: float = 1.
         elif sim.shape != (m, m):
             raise ShapeError(f"sim shape {sim.shape} != ({m}, {m})")
         lm, d_phi = _metric(np.dot(prec, rest.T), sim, cfg.w_d)
-        loss += metric_weight * lm
-        if metric_weight != 1.0:
-            d_phi *= metric_weight
+        loss += lm
         dH[:m] += np.dot(d_phi, rest)
         dH[b - m:] += np.dot(d_phi.T, prec)
     return loss, dH

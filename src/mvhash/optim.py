@@ -23,9 +23,7 @@ def init_optim(params: ModelParams) -> OptimState:
 
 
 def cosine_lr(base_lr: float, step: int, total_steps: int) -> float:
-    """Cosine decay from base_lr to 0 over total_steps."""
-    if total_steps <= 0:
-        return base_lr
+    """Cosine decay from base_lr to 0 over total_steps, which must be positive."""
     t = min(step, total_steps) / total_steps
     return base_lr * 0.5 * (1.0 + np.cos(np.pi * t))
 

@@ -9,9 +9,10 @@ to uint64 words:
   ranks one distinct query at a time: queries with an equal code, label
   set and own row (the corpus row of their id, if any) rank the corpus
   alike, so each such group is ranked once and its values copied to every
-  member. A ranked query costs one _scan() of the rows, a label AND per
-  byte row, a stable sort of its small-integer distances and one prefix
-  sum over its relevant ranks. Trained codes repeat: the benchmark's 1,000
+  member. A ranked query costs one _scan() of the rows, one label AND over
+  the byte rows, a stable sort of its small-integer distances and one
+  average_precision() call on its relevant ranks, the only computation of
+  AP, AP@K and Recall@K. Trained codes repeat: the benchmark's 1,000
   queries hold about 205 distinct groups, and the acceptance dataset's 200
   hold 26 after one epoch and 6 after 200.
 - per distinct code, built by the first search(): each of the U distinct codes
@@ -116,15 +117,14 @@ def pack_code(bits) -> HashCode:
     return HashCode(k, (value << -k % 8).to_bytes((k + 7) // 8, "big"))
 
 
-def _padded(packed, dtype) -> np.ndarray:
-    """Zero-pad packed bytes (N, n) to whole words of dtype, at least one: (N, words).
-
-    With one word or more, a scan over no bits still yields zeros.
-    """
-    size, n = np.dtype(dtype).itemsize, packed.shape[1]
-    out = np.zeros((packed.shape[0], max(size, n + -n % size)), dtype=np.uint8)
+def _pack_words(codes) -> np.ndarray:
+    """+/-1 code rows (N, K) as bits, zero-padded to whole uint64 words, at least one:
+    (N, words). With one word or more, a scan over no bits still yields zeros."""
+    packed = np.packbits(codes > 0, axis=1)
+    n = packed.shape[1]
+    out = np.zeros((packed.shape[0], max(8, n + -n % 8)), dtype=np.uint8)
     out[:, :n] = packed
-    return out.view(dtype)
+    return out.view(np.uint64)
 
 
 def _scan(words, q, k) -> np.ndarray:
@@ -203,11 +203,9 @@ def build_index(codes, ids, labels) -> HammingIndex:
     position = {cid: i for i, cid in enumerate(ids)}
     if len(position) != len(ids):
         raise ValueError("index ids must be unique")
-    words = _padded(np.packbits(codes > 0, axis=1), np.uint64)
-    packed_labels = _padded(np.packbits(labels > 0, axis=1), np.uint8)
-    return HammingIndex(k=codes.shape[1], words=words.T.copy(), ids=list(ids),
-                        labels=packed_labels.T.copy(), categories=labels.shape[1],
-                        position=position)
+    return HammingIndex(k=codes.shape[1], words=_pack_words(codes).T.copy(), ids=list(ids),
+                        labels=np.packbits(labels > 0, axis=1).T.copy(),
+                        categories=labels.shape[1], position=position)
 
 
 def _integer(value, what) -> int:
@@ -272,25 +270,25 @@ def search(index: HammingIndex, query: HashCode, k: int):
     return [index.ids[i] for i in (key[:k] % n).tolist()]
 
 
-def average_precision(ranked_relevance, total_relevant: int, cutoff=None) -> float:
-    """Mean of precision@p over relevant positions in the ranking.
+def average_precision(ranks, cutoffs=()):
+    """(AP, AP@K, Recall@K) of one full ranking, from the ranks of its relevant items.
 
-    For a truncated ranking pass cutoff=K; the divisor becomes
-    min(total_relevant, K). Returns 0 when nothing is relevant.
+    ranks are the 0-based positions of the ranking's relevant items and must
+    be ascending; every relevant item of the ranking is listed, so the full
+    ranking's relevant count R is len(ranks). AP is the mean of precision at
+    the relevant ranks; AP@K sums precision over the relevant items within
+    the first K and divides by min(K, R), and Recall@K is their number over
+    R. Every value is 0 when nothing is relevant. The two arrays follow
+    cutoffs.
     """
-    rel = np.asarray(ranked_relevance, dtype=np.float64)
-    if total_relevant < 0:
-        raise ValueError("total_relevant must be >= 0")
-    if cutoff is not None:
-        rel = rel[:cutoff]
-        denom = min(total_relevant, cutoff)
-    else:
-        denom = total_relevant
-    if denom == 0:
-        return 0.0
-    hits = np.cumsum(rel)
-    precision_at = hits / np.arange(1, rel.size + 1)
-    return float((precision_at * rel).sum() / denom)
+    hit = np.asarray(ranks)
+    # prec[m]: sum of precision@rank over the first m relevant items
+    prec = np.zeros(hit.size + 1)
+    np.divide(np.arange(1.0, hit.size + 1), hit + 1.0, out=prec[1:])
+    np.add.accumulate(prec, out=prec)
+    top = hit.searchsorted(cutoffs)  # relevant items within each cutoff
+    total = max(hit.size, 1)
+    return prec[-1] / total, prec[top] / np.minimum(cutoffs, total), top / total
 
 
 @dataclass
@@ -322,6 +320,8 @@ def evaluate(query_codes, query_ids, query_labels, index: HammingIndex,
     cutoffs = sorted(_integer(c, "a cutoff") for c in cutoffs)
     if cutoffs and cutoffs[0] < 1:
         raise ValueError(f"cutoffs must be >= 1, got {[c for c in cutoffs if c < 1]}")
+    if repeated := [a for a, b in zip(cutoffs, cutoffs[1:]) if a == b]:
+        raise ValueError(f"cutoff {repeated[0]} is repeated")
     nq = query_codes.shape[0]
     if query_codes.ndim != 2 or query_codes.shape[1] != index.k:
         raise ShapeError(f"query codes have shape {query_codes.shape}, "
@@ -334,8 +334,8 @@ def evaluate(query_codes, query_ids, query_labels, index: HammingIndex,
                          f"index labels have {index.categories} categories")
     _check_signs(query_codes, "query codes")
 
-    q_words = _padded(np.packbits(query_codes > 0, axis=1), np.uint64)
-    q_labels = _padded(np.packbits(query_labels > 0, axis=1), np.uint8)
+    q_words = _pack_words(query_codes)
+    q_labels = np.packbits(query_labels > 0, axis=1)
     own = np.array([index.position.get(qid, -1) for qid in query_ids], dtype=np.int64)
     key = np.concatenate([q_words.view(np.uint8), q_labels,
                           own.view(np.uint8).reshape(nq, 8)], axis=1)
@@ -343,27 +343,15 @@ def evaluate(query_codes, query_ids, query_labels, index: HammingIndex,
     q_words, q_labels, own = q_words[first], q_labels[first], own[first]
     nu = first.size
     cut = np.array(cutoffs, dtype=np.int64)
-    ends = np.minimum(cut, len(index.ids))
     aps, ap_at, rec_at = np.empty(nu), np.empty((nu, cut.size)), np.empty((nu, cut.size))
     for i, (q_i, labels_i, own_i) in enumerate(zip(q_words, q_labels, own.tolist())):
         dist = _scan(index.words, q_i, index.k)
-        shared = index.labels[0] & labels_i[0]
-        for byte in range(1, len(index.labels)):
-            shared |= index.labels[byte] & labels_i[byte]
-        rel = shared != 0
+        rel = (index.labels & labels_i[:, None]).any(axis=0)
         if own_i >= 0:  # the query's own item ranks last and is not relevant: as if removed
             dist[own_i] = index.k + 1
             rel[own_i] = False
-        hit = rel.take(dist.argsort(kind="stable")).nonzero()[0]  # rank - 1 of each relevant item
-        # prec[m]: sum of precision@rank over the first m relevant items
-        prec = np.zeros(hit.size + 1)
-        np.divide(np.arange(1.0, hit.size + 1), hit + 1.0, out=prec[1:])
-        np.add.accumulate(prec, out=prec)
-        top = hit.searchsorted(ends)  # relevant items within each cutoff
-        total = max(hit.size, 1)
-        aps[i] = prec[-1] / total
-        ap_at[i] = prec[top] / np.minimum(cut, total)
-        rec_at[i] = top / total
+        ranks = rel.take(dist.argsort(kind="stable")).nonzero()[0]
+        aps[i], ap_at[i], rec_at[i] = average_precision(ranks, cut)
     aps, ap_at, rec_at = aps[inverse], ap_at[inverse], rec_at[inverse]
     return EvalReport(
         map=float(np.mean(aps)),

@@ -62,7 +62,7 @@ def shuffled_ranking_map(query_labels, corpus_labels, trials=50, seed=0):
         for q in query_labels:
             order = rng.permutation(n)
             rel = (corpus_labels[order] @ q > 0).astype(float)
-            aps.append(average_precision(rel, int(rel.sum())))
+            aps.append(average_precision(np.flatnonzero(rel))[0])
         maps.append(np.mean(aps))
     return float(np.mean(maps))
 
@@ -668,6 +668,13 @@ class TestErrors:
         assert captured.out == ""
         err = captured.err.strip().splitlines()
         assert len(err) == 1 and "cutoffs" in err[0] and "0" in err[0]
+
+    def test_repeated_cutoff_exit_1(self, dataset_dir, run_dir, capsys):
+        assert main(["eval", "--checkpoint", str(run_dir / "checkpoint.bin"),
+                     "--data", str(dataset_dir), "--cutoffs", "5,5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: cutoff 5 is repeated\n"
 
     @pytest.mark.parametrize("argv,flag,text", [
         (["synth", "--view-dims", "16,x"], "--view-dims", "'16,x'"),

@@ -335,6 +335,19 @@ class TestManifestErrors:
         assert f"'splits.retrieval.{key}'" in str(info.value)
         assert str(manifest) in str(info.value)
 
+    @pytest.mark.parametrize("key", ["extra", "splits.valid", "splits.train.bogus"])
+    def test_unknown_key(self, tmp_path, key):
+        def edit(table):
+            *parents, last = key.split(".")
+            entry = table
+            for part in parents:
+                entry = entry[part]
+            entry[last] = dict(table["splits"]["train"])  # as a well-formed split entry
+        manifest = edit_manifest(tmp_path, edit)
+        with pytest.raises(DatasetError) as info:
+            load_features(manifest)
+        assert str(info.value) == f"manifest {manifest}: unknown key '{key}'"
+
     def test_negative_count(self, tmp_path):
         def edit(table):
             table["splits"]["query"]["count"] = -1

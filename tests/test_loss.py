@@ -234,13 +234,16 @@ class TestTotalLoss:
                       - total_loss(Hm, labels, CFG)[0]) / (2 * step)
                 assert abs(dH[i, j] - fd) <= 1e-4 * max(abs(fd), abs(dH[i, j]), 1e-3)
 
-    def test_metric_weight_scales_metric_term(self):
+    def test_metric_weight_is_zero_or_one(self):
         H, labels = random_instance(np.random.default_rng(6))
-        (l0, d0), (l1, d1), (l2, d2) = (total_loss(H, labels, CFG, metric_weight=w)
-                                        for w in (0.0, 1.0, 2.0))
-        assert l2 == pytest.approx(naive_total_loss(H, labels, CFG, metric_weight=2.0),
-                                   abs=1e-12)
-        np.testing.assert_allclose(d2 - d0, 2.0 * (d1 - d0), rtol=1e-12, atol=1e-15)
+        (l0, d0), (l1, d1) = (total_loss(H, labels, CFG, metric_weight=w) for w in (0.0, 1.0))
+        for w, loss in ((0.0, l0), (1.0, l1)):
+            assert loss == pytest.approx(naive_total_loss(H, labels, CFG, metric_weight=w),
+                                         abs=1e-12)
+        assert not np.array_equal(d0, d1)
+        for w in (2.0, 0.5, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="^metric_weight must be 0.0 or 1.0, got "):
+                total_loss(H, labels, CFG, metric_weight=w)
 
     def test_rows_outside_blocks_get_zero_gradient(self):
         rng = np.random.default_rng(4)

@@ -199,26 +199,33 @@ class TestSearch:
 
 class TestAveragePrecision:
     def test_perfect_ranking(self):
-        assert average_precision([1, 1, 0, 0], 2) == 1.0
+        assert average_precision([0, 1])[0] == 1.0
 
     def test_hand_evaluation(self):
-        assert average_precision([0, 1, 0, 1], 2) == pytest.approx(0.5)
+        # relevant at positions 2 and 4: (1/2 + 2/4) / 2
+        assert average_precision([1, 3])[0] == pytest.approx(0.5)
 
     def test_nothing_relevant(self):
-        assert average_precision([0, 0, 0], 0) == 0.0
+        ap, ap_at, rec_at = average_precision([], cutoffs=(1, 3))
+        assert ap == 0.0 and list(ap_at) == [0.0, 0.0] and list(rec_at) == [0.0, 0.0]
 
     def test_truncated_divisor(self):
-        # 5 relevant total, cutoff 2: divisor is min(5, 2)
-        assert average_precision([1, 1, 0, 1, 1, 1], 5, cutoff=2) == 1.0
+        # 5 relevant in all, cutoff 2: AP@2 divides by min(5, 2), Recall@2 by 5
+        _, ap_at, rec_at = average_precision([0, 1, 3, 4, 5], cutoffs=(2,))
+        assert list(ap_at) == [1.0] and list(rec_at) == [0.4]
 
     def test_matches_naive(self):
         rng = np.random.default_rng(4)
         for _ in range(200):
             rel = rng.integers(0, 2, size=rng.integers(1, 30)).tolist()
-            total = sum(rel) + rng.integers(0, 3)
-            cutoff = None if rng.random() < 0.5 else int(rng.integers(1, 20))
-            assert average_precision(rel, total, cutoff) == pytest.approx(
-                naive_ap(rel, total, cutoff), abs=1e-15)
+            cutoffs = sorted(set(rng.integers(1, 35, size=rng.integers(0, 4)).tolist()))
+            ap, ap_at, rec_at = average_precision(np.flatnonzero(rel), cutoffs)
+            total = sum(rel)
+            assert ap == pytest.approx(naive_ap(rel, total), abs=1e-15)
+            assert list(ap_at) == pytest.approx([naive_ap(rel, total, c) for c in cutoffs],
+                                                abs=1e-15)
+            assert list(rec_at) == pytest.approx(
+                [sum(rel[:c]) / total if total else 0.0 for c in cutoffs], abs=1e-15)
 
 
 class TestEvaluate:
@@ -276,6 +283,31 @@ class TestEvaluate:
         report = evaluate(codes[:1], ["a"], labels[:1], index)
         assert report.map == 0.0
 
+    @pytest.mark.parametrize("cutoffs", [(), (5,), (1, 10, 400)])
+    def test_scores_through_average_precision(self, monkeypatch, cutoffs):
+        rng = np.random.default_rng(9)
+        _, queries, _, q_labels, index = self.build(rng, 40, 3)
+        rows = [0, 1, 0, 2, 1, 2]
+        # rows 3 and 5 share code and labels, but row 3's id is corpus row 3's
+        q_ids = ["a", "b", "a", "c3", "b", "d"]
+        calls, score = [], retrieval.average_precision
+
+        def spy(ranks, cut):
+            calls.append((ranks, list(cut)))
+            return score(ranks, cut)
+        monkeypatch.setattr(retrieval, "average_precision", spy)
+        evaluate(queries[rows], q_ids, q_labels[rows], index, cutoffs=cutoffs)
+        assert len(calls) == 4  # one per distinct (code, labels, own row)
+        for ranks, cut in calls:
+            assert cut == list(cutoffs) and np.all(np.diff(ranks) > 0)
+
+    def test_no_categories_nothing_relevant(self):
+        codes = random_codes(np.random.default_rng(10), 5, 8)
+        index = build_index(codes, [f"c{i}" for i in range(5)], np.zeros((5, 0)))
+        report = evaluate(codes, [f"q{i}" for i in range(5)], np.zeros((5, 0)), index,
+                          cutoffs=(1, 3))
+        assert report.map == 0.0 and report.map_at_k == report.recall_at_k == [0.0, 0.0]
+
     def test_empty_query_split(self):
         rng = np.random.default_rng(7)
         *_, index = self.build(rng, 10, 2)
@@ -308,6 +340,11 @@ class TestValidation:
         message = str(exc.value)
         assert "\n" not in message
         assert str(min(bad)) in message
+
+    def test_repeated_cutoff_named(self):
+        with pytest.raises(ValueError, match="^cutoff 5 is repeated$"):
+            evaluate(np.ones((2, 8)), ["q0", "q1"], np.eye(3)[:2], self.index(),
+                     cutoffs=(5, 1, 5))
 
     @pytest.mark.parametrize("ids,labels", [
         (["q0"], np.eye(3)[:2]),  # short ids
@@ -445,7 +482,7 @@ def retrieval_cases(draw):
     rows = rng.permutation(np.concatenate([np.arange(kinds),
                                            rng.integers(kinds, size=nq - kinds)]))
     queries, q_labels, q_ids = queries[rows], q_labels[rows], [q_ids[r] for r in rows]
-    cutoffs = draw(st.lists(st.integers(1, n + 5), max_size=4))
+    cutoffs = draw(st.lists(st.integers(1, n + 5), max_size=4, unique=True))
     return corpus, ids, c_labels, queries, q_ids, q_labels, cutoffs
 
 
