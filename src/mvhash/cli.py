@@ -75,7 +75,7 @@ def _train_config(args) -> TrainConfig:
 
 def cmd_synth(args) -> int:
     cfg = SynthConfig(**_flag_values(SynthConfig, args))
-    split = generate_synthetic(cfg, "<f4")  # the file's dtype, so written without a copy
+    split = generate_synthetic(cfg)
     manifest = write_features(split, args.out)
     (Path(args.out) / "synth_config.json").write_text(
         json.dumps(asdict(cfg), indent=2) + "\n")

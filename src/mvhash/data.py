@@ -3,10 +3,10 @@
 Datasets live on disk as a JSON manifest plus, per split, a raw
 little-endian float32 tensor file (one row per record, views concatenated
 in order) and a CSV sidecar with the record id and its multi-hot label as
-a bitstring. In memory a split is columnar: the ids, one (N, D) feature matrix
-(float32 as loaded; the network widens each batch) and one (N, C) int8 label matrix.
-Synthetic features are float64 in memory, or float32 when drawn to be written:
-each value is rounded once from float64, so the file's bytes are the same.
+a bitstring. In memory a split is columnar, loaded or drawn: the ids, one (N, D)
+float32 feature matrix, which only the network widens, and one (N, C) int8 label
+matrix. A drawn value is summed in float64 and rounded once to float32, so a
+drawn split equals itself written and loaded again.
 Every load error is one DatasetError line naming the file at fault. A CSV
 sidecar is parsed in one pass that stops at its first fault in file order;
 its count, ids and labels are then checked column by column.
@@ -49,7 +49,7 @@ class Columns:
     """One split: row i is record ids[i], features[i] and labels[i]."""
 
     ids: list  # None in a training block, which nothing looks up by id
-    features: np.ndarray  # (N, D), views concatenated in order; float32 as loaded
+    features: np.ndarray  # (N, D) float32, views concatenated in order
     labels: np.ndarray  # (N, C) multi-hot; int8 as loaded or drawn
 
     def __len__(self) -> int:
@@ -310,16 +310,16 @@ def load_features(manifest_path, read=SPLITS) -> DatasetSplit:
     return DatasetSplit(**splits, view_dims=view_dims, categories=categories)
 
 
-def generate_synthetic(cfg: SynthConfig, dtype=np.float64) -> DatasetSplit:
+def generate_synthetic(cfg: SynthConfig) -> DatasetSplit:
     """Clustered multi-view features: per-category unit anchors plus Gaussian noise.
 
     A sample's per-view feature is the mean of its categories' anchors for
     that view plus N(0, sigma^2) noise. Multi-label samples (two categories)
     are drawn with probability multi_label_p. Deterministic under seed.
 
-    Every value is computed in float64 and rounded once to `dtype`, so
-    float32 features equal the float64 ones cast to float32, at half their
-    memory.
+    Every value is computed in float64 and rounded once to float32, the
+    dtype of a loaded split, so write_features then load_features gives
+    back this split.
     """
     rng = np.random.default_rng(cfg.seed)
     draws = [rng.normal(size=(cfg.categories, d)) for d in cfg.view_dims]
@@ -337,7 +337,7 @@ def generate_synthetic(cfg: SynthConfig, dtype=np.float64) -> DatasetSplit:
         # summed into the float64 `block` and cast into `feats` a block at a
         # time, since a cast per row costs more than the add itself.
         labels = np.zeros((count, cfg.categories), dtype=np.int8)
-        feats = np.empty((count, anchors.shape[1]), dtype=dtype)
+        feats = np.empty((count, anchors.shape[1]), dtype=np.float32)
         block = np.empty((min(count, 256), anchors.shape[1]))
         for start in range(0, count, len(block)):
             rows = block[:count - start]

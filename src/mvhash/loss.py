@@ -125,6 +125,8 @@ def total_loss(H: np.ndarray, labels, cfg: LossConfig, metric_weight: float = 1.
     if metric_weight not in (0.0, 1.0):
         raise ValueError(f"metric_weight must be 0.0 or 1.0, got {metric_weight!r}")
     H = np.asarray(H, dtype=np.float64)
+    if H.ndim != 2:
+        raise ShapeError(f"H has shape {H.shape}, expected (batch, bits)")
     b = H.shape[0]
     if b < 2:
         raise ValueError("need a batch of at least 2 samples")
@@ -135,6 +137,8 @@ def total_loss(H: np.ndarray, labels, cfg: LossConfig, metric_weight: float = 1.
         prec, rest = H[:m], H[b - m:]
         if sim is None:
             labels = np.asarray(labels, dtype=np.float64)
+            if labels.ndim != 2 or len(labels) != b:
+                raise ShapeError(f"labels have shape {labels.shape}, expected ({b}, categories)")
             sim = pairwise_similarity(labels[:m], labels[b - m:])
         elif sim.shape != (m, m):
             raise ShapeError(f"sim shape {sim.shape} != ({m}, {m})")

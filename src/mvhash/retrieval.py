@@ -315,23 +315,23 @@ def evaluate(query_codes, query_ids, query_labels, index: HammingIndex,
     ranking every query on its own.
     """
     query_codes, query_labels = np.asarray(query_codes), np.asarray(query_labels)
-    if query_codes.shape[0] == 0:
+    if query_codes.ndim != 2 or query_codes.shape[1] != index.k:
+        raise ShapeError(f"query codes have shape {query_codes.shape}, "
+                         f"index stores {index.k} bits")
+    if query_labels.ndim != 2 or query_labels.shape[1] != index.categories:
+        raise ShapeError(f"query labels have shape {query_labels.shape}, "
+                         f"index labels have {index.categories} categories")
+    nq = query_codes.shape[0]
+    if nq == 0:
         raise ValueError("empty query split")
     cutoffs = sorted(_integer(c, "a cutoff") for c in cutoffs)
     if cutoffs and cutoffs[0] < 1:
         raise ValueError(f"cutoffs must be >= 1, got {[c for c in cutoffs if c < 1]}")
     if repeated := [a for a, b in zip(cutoffs, cutoffs[1:]) if a == b]:
         raise ValueError(f"cutoff {repeated[0]} is repeated")
-    nq = query_codes.shape[0]
-    if query_codes.ndim != 2 or query_codes.shape[1] != index.k:
-        raise ShapeError(f"query codes have shape {query_codes.shape}, "
-                         f"index stores {index.k} bits")
     if not (len(query_ids) == nq == query_labels.shape[0]):
         raise ShapeError(f"{nq} query codes, {len(query_ids)} ids and "
                          f"{query_labels.shape[0]} label rows must be aligned")
-    if query_labels.ndim != 2 or query_labels.shape[1] != index.categories:
-        raise ShapeError(f"query labels have shape {query_labels.shape}, "
-                         f"index labels have {index.categories} categories")
     _check_signs(query_codes, "query codes")
 
     q_words = _pack_words(query_codes)

@@ -80,7 +80,8 @@ class TrainConfig:
             ("seed", self.seed >= 0, ">= 0"),
             ("eval_every", self.eval_every >= 0, ">= 0"),
         ))
-        LossConfig(lam=self.lam, mu=self.mu, w_d=self.w_d)  # validates ranges
+        # validates the ranges, and that every batch holds a pair block
+        LossConfig(lam=self.lam, mu=self.mu, w_d=self.w_d).block_size(self.batch_size)
 
     def pipeline(self, num_views: int):
         """(loss_cfg, metric_weight, views, gated) for this ablation on data of

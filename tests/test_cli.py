@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import copy
+import csv
 import functools
 import hashlib
 import io
@@ -24,10 +25,11 @@ from hypothesis import strategies as st
 import mvhash.data
 import mvhash.retrieval
 from mvhash.cli import build_parser, main
-from mvhash.data import SynthConfig, load_features, stack_labels
+from mvhash.data import SynthConfig, generate_synthetic, load_features, stack_labels
 from mvhash.net import NetConfig, binarize, init_params
 from mvhash.retrieval import average_precision, build_index, pack_code, search
-from mvhash.trainer import TrainConfig, codes_for, load_checkpoint, save_checkpoint
+from mvhash.trainer import (TrainConfig, codes_for, export_curves, load_checkpoint,
+                            save_checkpoint, train)
 from test_trainer import rewrite_header
 
 
@@ -184,6 +186,47 @@ class TestTrain:
                      "--batch-size", "8"]) == 0
         ckpt = load_checkpoint(tmp_path / "checkpoint.bin")
         assert ckpt.net_cfg.code_bits == 8
+
+    def test_same_run_as_in_process(self, tmp_path):
+        """mvhash synth then mvhash train is train(generate_synthetic(...)) with the
+        same settings: the same parameter bits and the same curves."""
+        assert main(["synth", "--out", str(tmp_path / "data"), "--categories", "3",
+                     "--view-dims", "6,5", "--train-size", "60", "--retrieval-size", "30",
+                     "--query-size", "10", "--seed", "5"]) == 0
+        assert main(["train", "--data", str(tmp_path / "data"), "--out", str(tmp_path / "run"),
+                     "--epochs", "3", "--batch-size", "8", "--bits", "8", "--proj-dim", "4",
+                     "--eval-every", "1", "--seed", "3"]) == 0
+        synth = SynthConfig(categories=3, view_dims=(6, 5), train_size=60, retrieval_size=30,
+                            query_size=10, seed=5)
+        cfg = TrainConfig(epochs=3, batch_size=8, bits=8, proj_dim=4, eval_every=1, seed=3)
+        for path, config in ((tmp_path / "data" / "synth_config.json", synth),
+                             (tmp_path / "run" / "train_config.json", cfg)):
+            assert json.loads(path.read_text()) == json.loads(json.dumps(asdict(config)))
+        result = train(generate_synthetic(synth), cfg)
+        export_curves(result.records, tmp_path / "curves.csv")
+
+        def columns(path):  # epoch, loss and map; wall_ms is a clock reading
+            with open(path, newline="") as fh:
+                return [row[:3] for row in csv.reader(fh)]
+        assert columns(tmp_path / "run" / "curves.csv") == columns(tmp_path / "curves.csv")
+        assert all(row[2] for row in columns(tmp_path / "curves.csv")[1:])  # eval each epoch
+        ckpt = load_checkpoint(tmp_path / "run" / "checkpoint.bin")
+        assert ckpt.params.buf.tobytes() == result.params.buf.tobytes()
+
+    @pytest.mark.parametrize("source", ["flags", "config"])
+    def test_batch_without_a_pair_block_exits_1_before_writing(self, dataset_dir, tmp_path,
+                                                               capsys, source):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"lam": 0.1, "batch_size": 8}))
+        given = (["--lam", "0.1", "--batch-size", "8"] if source == "flags"
+                 else ["--config", str(cfg_file)])
+        assert main(["train", "--data", str(dataset_dir), "--out", str(tmp_path / "run"),
+                     "--epochs", "0", *given]) == 1
+        detail = "lam * batch_size = 0.800 < 1; increase lam or the batch size"
+        err = capsys.readouterr().err
+        assert err == (f"error: {detail}\n" if source == "flags"
+                       else f"error: config {cfg_file}: {detail}\n")
+        assert not (tmp_path / "run").exists()
 
     def test_config_file_with_flag_override(self, dataset_dir, tmp_path):
         cfg_file = tmp_path / "cfg.json"

@@ -311,6 +311,30 @@ def test_round_trip_exact(tmp_path_factory, seed, counts, view_dims, categories,
         assert np.array_equal(back.features, orig.features.astype(np.float32))
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       sizes=st.tuples(*[st.integers(1, 40)] * 3),
+       view_dims=st.lists(st.integers(1, 8), min_size=1, max_size=3).map(tuple),
+       categories=st.integers(1, 9),
+       multi_label_p=st.sampled_from([0.0, 0.3, 1.0]))
+def test_drawn_split_is_the_written_split(tmp_path_factory, seed, sizes, view_dims,
+                                          categories, multi_label_p):
+    """A drawn split and the same split written and loaded again are one dataset."""
+    cfg = SynthConfig(categories=categories, view_dims=view_dims, train_size=sizes[0],
+                      retrieval_size=sizes[1], query_size=sizes[2],
+                      multi_label_p=multi_label_p, seed=seed)
+    drawn = generate_synthetic(cfg)
+    loaded = load_features(write_features(drawn, tmp_path_factory.mktemp("synth")))
+    assert (drawn.view_dims, drawn.categories) == (loaded.view_dims, loaded.categories)
+    for name in ("train", "retrieval", "query"):
+        a, b = getattr(drawn, name), getattr(loaded, name)
+        assert a.ids == b.ids
+        assert a.features.dtype == b.features.dtype == np.float32
+        assert a.features.tobytes() == b.features.tobytes()
+        assert a.labels.dtype == b.labels.dtype == np.int8
+        assert np.array_equal(a.labels, b.labels)
+
+
 def edit_manifest(tmp_path, edit):
     manifest = write_features(tiny_split(), tmp_path)
     table = json.loads(manifest.read_text())

@@ -245,6 +245,23 @@ class TestTotalLoss:
             with pytest.raises(ValueError, match="^metric_weight must be 0.0 or 1.0, got "):
                 total_loss(H, labels, CFG, metric_weight=w)
 
+    @pytest.mark.parametrize("shape", [(), (8,), (8, 4, 1)])
+    def test_codes_must_be_a_matrix(self, shape):
+        with pytest.raises(ShapeError) as exc:
+            total_loss(np.zeros(shape), np.eye(8)[:, :3], CFG)
+        assert str(exc.value) == f"H has shape {shape}, expected (batch, bits)"
+
+    @pytest.mark.parametrize("shape", [(), (8,), (8, 3, 1), (7, 3)])
+    def test_labels_must_be_one_row_per_code(self, shape):
+        H = np.random.default_rng(5).uniform(-1, 1, size=(8, 4))
+        with pytest.raises(ShapeError) as exc:
+            total_loss(H, np.ones(shape), CFG)
+        assert str(exc.value) == f"labels have shape {shape}, expected (8, categories)"
+        # given the block similarity, total_loss does not read the labels
+        sim = np.ones((4, 4))
+        loss, _ = total_loss(H, np.ones(shape), CFG, sim=sim)
+        assert loss == total_loss(H, None, CFG, sim=sim)[0]
+
     def test_rows_outside_blocks_get_zero_gradient(self):
         rng = np.random.default_rng(4)
         H = rng.uniform(-1, 1, size=(8, 4))

@@ -356,6 +356,21 @@ class TestValidation:
         with pytest.raises(ShapeError):
             evaluate(np.ones((2, 8)), ids, labels, self.index())
 
+    @pytest.mark.parametrize("codes,labels,name", [
+        (np.ones(()), np.eye(3)[:2], "query codes"),
+        (np.ones(8), np.eye(3)[:2], "query codes"),
+        (np.ones((2, 8, 1)), np.eye(3)[:2], "query codes"),
+        (np.ones((2, 8)), np.ones(()), "query labels"),
+        (np.ones((2, 8)), np.ones(3), "query labels"),
+        (np.ones((2, 8)), np.ones((2, 3, 1)), "query labels"),
+    ])
+    def test_rank_checked_before_rows(self, codes, labels, name):
+        shape = (codes if name == "query codes" else labels).shape
+        with pytest.raises(ShapeError) as exc:
+            evaluate(codes, ["q0", "q1"], labels, self.index())
+        assert str(exc.value).startswith(f"{name} have shape {shape}, index ")
+        assert "\n" not in str(exc.value)
+
     def test_query_code_width(self):
         with pytest.raises(ShapeError):
             evaluate(np.ones((2, 16)), ["q0", "q1"], np.eye(3)[:2], self.index())

@@ -87,6 +87,13 @@ class TestTrain:
         assert repr(value) in str(info.value)
         assert "\n" not in str(info.value)
 
+    @pytest.mark.parametrize("lam,batch_size", [(0.1, 8), (0.25, 2), (0.01, 99)])
+    def test_batch_without_a_pair_block_rejected_at_construction(self, lam, batch_size):
+        with pytest.raises(ValueError) as info:
+            TrainConfig(lam=lam, batch_size=batch_size)
+        assert str(info.value) == (f"lam * batch_size = {lam * batch_size:.3f} < 1; "
+                                   "increase lam or the batch size")
+
     @pytest.mark.parametrize("field,value", [
         ("epochs", 0), ("bits", 1), ("proj_dim", 1), ("batch_size", 2), ("dropout_p", 0.0),
         ("beta1", 0.0), ("beta2", 0.0), ("weight_decay", 0.0), ("seed", 0), ("eval_every", 0),
