@@ -104,27 +104,23 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _encoder(args):
-    """The dataset, the checkpoint matched to it, and encode(split) -> sign codes
-    from the checkpoint's own network; its stored training config is not read."""
+def _indexed(args):
+    """(query split, its sign codes, index of the retrieval split) from the
+    checkpoint's own network; its stored training config is not read."""
     ckpt = load_checkpoint(args.checkpoint)
     dataset = load_features(args.data, read=("retrieval", "query"))
     if ckpt.net_cfg.view_dims != dataset.view_dims:
         raise ValueError(f"checkpoint {args.checkpoint} has view_dims "
                          f"{ckpt.net_cfg.view_dims}, dataset {args.data} has {dataset.view_dims}")
-
-    def encode(split):
-        return binarize(codes_for(split, ckpt.params))
-    return dataset, ckpt, encode
+    db, query = dataset.retrieval, dataset.query
+    index = build_index(binarize(codes_for(db, ckpt.params)), db.ids, db.labels)
+    return query, binarize(codes_for(query, ckpt.params)), index
 
 
 def cmd_eval(args) -> int:
-    dataset, ckpt, encode = _encoder(args)
-    q_codes, db_codes = encode(dataset.query), encode(dataset.retrieval)
-    index = build_index(db_codes, dataset.retrieval.ids, dataset.retrieval.labels)
+    query, q_codes, index = _indexed(args)
     cutoffs = _parse_dims(args.cutoffs, "--cutoffs") if args.cutoffs else ()
-    report = evaluate(q_codes, dataset.query.ids, dataset.query.labels, index,
-                      cutoffs=cutoffs)
+    report = evaluate(q_codes, query.ids, query.labels, index, cutoffs=cutoffs)
     if args.out:
         write_report_csv(report, args.out)
     print(format_summary(report))
@@ -132,10 +128,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_search(args) -> int:
-    dataset, _, encode = _encoder(args)
-    index = build_index(encode(dataset.retrieval), dataset.retrieval.ids,
-                        dataset.retrieval.labels)
-    for qid, code in zip(dataset.query.ids, encode(dataset.query)):
+    query, q_codes, index = _indexed(args)
+    for qid, code in zip(query.ids, q_codes):
         print(f"{qid}: {' '.join(search(index, pack_code(code), args.k))}")
     return 0
 

@@ -222,7 +222,8 @@ def load_features(manifest_path, read=SPLITS) -> DatasetSplit:
     """Load and validate a dataset from its manifest.
 
     The manifest may hold only the keys write_features writes. Every
-    split's manifest entry, files and feature byte length are checked;
+    split's manifest entry, files and feature byte length are checked, and
+    its count must be a positive integer (a DatasetError naming the field);
     only the splits named in `read` are parsed and validated row by row,
     and the others are None. A name in `read` that is not in SPLITS is a
     ValueError.
@@ -260,11 +261,6 @@ def load_features(manifest_path, read=SPLITS) -> DatasetSplit:
         ok = type(v) is list and v and not any(map(positive, v))
         return None if ok else "is not a non-empty list of positive integers"
 
-    def non_negative(v):
-        if type(v) is not int:
-            return "is not an integer"
-        return "is negative" if v < 0 else None
-
     def file_name(v):  # no directory part, so the file lies in the dataset directory
         ok = type(v) is str and Path(v).name == v and v != ".."
         return None if ok else "is not a file name inside the dataset directory"
@@ -277,13 +273,13 @@ def load_features(manifest_path, read=SPLITS) -> DatasetSplit:
     total_dim = sum(view_dims)
     base = path.parent
 
-    splits, counts = {}, []
+    splits = {}
     for name in SPLITS:
         entry, where = require(split_table, name, "splits."), f"splits.{name}."
         known(entry, ("features", "records", "count"), where)
         feat_path = base / require(entry, "features", where, file_name)
         rec_path = base / require(entry, "records", where, file_name)
-        count = require(entry, "count", where, non_negative)
+        count = require(entry, "count", where, positive)
         for p in (feat_path, rec_path):
             if not p.is_file():
                 raise DatasetError(f"split {name!r}: missing file {p}")
@@ -292,7 +288,6 @@ def load_features(manifest_path, read=SPLITS) -> DatasetSplit:
         if size != count * total_dim * 4:
             raise DatasetError(f"{feat_path}: split {name!r}: {size} bytes, manifest {path} "
                                f"declares {count} x {total_dim} float32 values")
-        counts.append(count)
         if name not in read:
             splits[name] = None
             continue
@@ -304,9 +299,6 @@ def load_features(manifest_path, read=SPLITS) -> DatasetSplit:
             finite = np.isfinite(feats.sum(axis=1, dtype=np.float64))
         _reject(feat_path, name, ids, ~finite, lambda i: "non-finite feature values")
         splits[name] = Columns(ids, feats, labels)
-
-    if not all(counts):
-        raise DatasetError(f"manifest {path}: all three splits must be non-empty")
     return DatasetSplit(**splits, view_dims=view_dims, categories=categories)
 
 

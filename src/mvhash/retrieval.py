@@ -147,8 +147,7 @@ def hamming_distance(a: HashCode, b: HashCode) -> int:
     """Number of differing bits."""
     if a.k != b.k:
         raise ShapeError(f"code lengths differ: {a.k} vs {b.k}")
-    return int(np.bitwise_count(np.frombuffer(a.words, dtype=np.uint8)
-                                ^ np.frombuffer(b.words, dtype=np.uint8)).sum())
+    return (int.from_bytes(a.words, "big") ^ int.from_bytes(b.words, "big")).bit_count()
 
 
 @dataclass
@@ -250,6 +249,7 @@ def search(index: HammingIndex, query: HashCode, k: int):
     hits = index.buckets.get(padded)
     if hits is not None and len(hits) >= k:
         return hits[:k]
+    k = min(k, len(index.ids))  # the answer is the same; numpy needs k in int64
     dist = _scan(distinct, np.frombuffer(padded, dtype=np.uint64), index.k)
     c = min(k, dist.size)
     t = dist.min()  # in dist's dtype, which holds index.k, the largest t can reach
@@ -342,7 +342,8 @@ def evaluate(query_codes, query_ids, query_labels, index: HammingIndex,
     _, first, inverse = np.unique(_as_void(key.T), return_index=True, return_inverse=True)
     q_words, q_labels, own = q_words[first], q_labels[first], own[first]
     nu = first.size
-    cut = np.array(cutoffs, dtype=np.int64)
+    # a cutoff past the N items reads as N (1 if N = 0), whose values it has; the report keeps it
+    cut = np.array([min(c, max(len(index.ids), 1)) for c in cutoffs], dtype=np.int64)
     aps, ap_at, rec_at = np.empty(nu), np.empty((nu, cut.size)), np.empty((nu, cut.size))
     for i, (q_i, labels_i, own_i) in enumerate(zip(q_words, q_labels, own.tolist())):
         dist = _scan(index.words, q_i, index.k)

@@ -1,4 +1,5 @@
 import argparse
+import collections
 import contextlib
 import copy
 import csv
@@ -22,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mvhash.cli
 import mvhash.data
 import mvhash.retrieval
 from mvhash.cli import build_parser, main
@@ -298,6 +300,27 @@ class TestSplitsRead:
         assert parsed == ["retrieval", "query"]
 
 
+class TestOneLoadingStep:
+    """eval and search load, encode and index through one shared step."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = collections.Counter()
+        for name in ("load_checkpoint", "load_features", "codes_for", "build_index"):
+            def spy(*args, _name=name, _fn=getattr(mvhash.cli, name), **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(mvhash.cli, name, spy)
+        return counts
+
+    @pytest.mark.parametrize("command", ["eval", "search"])
+    def test_each_step_once(self, dataset_dir, run_dir, calls, command, capsys):
+        assert main([command, "--checkpoint", str(run_dir / "checkpoint.bin"),
+                     "--data", str(dataset_dir)]) == 0
+        assert calls == {"load_checkpoint": 1, "load_features": 1, "codes_for": 2,
+                         "build_index": 1}
+
+
 class TestGroupingBuiltBySearch:
     """Only search() reads the distinct-code grouping, so nothing else builds it."""
 
@@ -340,6 +363,13 @@ class TestEval:
         assert len(lines) == 4
         assert "mAP" in capsys.readouterr().out
 
+    def test_cutoff_past_the_corpus_reads_as_its_size(self, dataset_dir, run_dir, capsys):
+        assert main(["eval", "--checkpoint", str(run_dir / "checkpoint.bin"),
+                     "--data", str(dataset_dir), "--cutoffs", f"30,{2**63}"]) == 0
+        _, at_size, at_huge = capsys.readouterr().out.splitlines()
+        assert at_size.split()[0] == "@30" and at_huge.split()[0] == f"@{2**63}"
+        assert at_size.split()[1:] == at_huge.split()[1:]
+
     def test_untrained_checkpoint_near_random_baseline(self, tmp_path, capsys):
         # high noise: with no class structure in the features, an untrained
         # projection must rank like a shuffled baseline (a random projection
@@ -374,6 +404,15 @@ class TestSearch:
             qid, hits = line.split(":")
             assert qid.startswith("q")
             assert len(hits.split()) == 5
+
+    def test_huge_k_lists_the_whole_retrieval_split(self, dataset_dir, run_dir, capsys):
+        outputs = []
+        for k in (2**63, 30):  # the retrieval split holds 30 records
+            assert main(["search", "--checkpoint", str(run_dir / "checkpoint.bin"),
+                         "--data", str(dataset_dir), "-k", str(k)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert all(len(line.split()) == 31 for line in outputs[0].splitlines())
 
     def test_same_lines_as_search_per_query(self, dataset_dir, run_dir, capsys):
         checkpoint = run_dir / "checkpoint.bin"

@@ -376,8 +376,20 @@ class TestManifestErrors:
         def edit(table):
             table["splits"]["query"]["count"] = -1
         manifest = edit_manifest(tmp_path, edit)
-        with pytest.raises(DatasetError, match="splits.query.count is negative"):
+        with pytest.raises(DatasetError) as info:
             load_features(manifest)
+        assert str(info.value) == (f"manifest {manifest}: splits.query.count "
+                                   "is not a positive integer (-1)")
+
+    @pytest.mark.parametrize("name", ["train", "retrieval", "query"])
+    def test_zero_count_names_the_split(self, tmp_path, name):
+        def edit(table):
+            table["splits"][name]["count"] = 0
+        manifest = edit_manifest(tmp_path, edit)
+        with pytest.raises(DatasetError) as info:
+            load_features(manifest, read=(name,))
+        assert str(info.value) == (f"manifest {manifest}: splits.{name}.count "
+                                   "is not a positive integer (0)")
 
     @pytest.mark.parametrize("key, value", [
         ("categories", "3"),

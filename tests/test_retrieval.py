@@ -182,6 +182,15 @@ class TestSearch:
         index = build_index(codes, list("abcde"), np.ones((5, 1), dtype=np.int8))
         assert len(search(index, pack_code(codes[0]), 50)) == 5
 
+    @pytest.mark.parametrize("k", [2**63, 10**30])
+    @pytest.mark.parametrize("distinct", [True, False])  # five codes, or one for every row
+    def test_huge_k_returns_the_whole_index(self, k, distinct):
+        rng = np.random.default_rng(2)
+        codes = random_codes(rng, 5, 8) if distinct else np.ones((5, 8), dtype=np.int8)
+        index = build_index(codes, list("abcde"), np.ones((5, 1), dtype=np.int8))
+        for q in [*codes, random_codes(rng, 1, 8)[0]]:
+            assert search(index, pack_code(q), k) == search(index, pack_code(q), 5)
+
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(3)
         codes = random_codes(rng, 50, 16)
@@ -275,6 +284,23 @@ class TestEvaluate:
         assert np.all(np.diff(report.recall_at_k) >= -1e-15)
         assert all(0.0 <= m <= 1.0 for m in report.map_at_k)
 
+    @pytest.mark.parametrize("huge", [2**63, 10**30])
+    def test_cutoff_past_the_corpus_reads_as_its_size(self, huge):
+        rng = np.random.default_rng(10)
+        _, queries, _, q_labels, index = self.build(rng, 40, 6)
+        report = evaluate(queries, [f"q{i}" for i in range(6)], q_labels, index,
+                          cutoffs=(5, 40, 41, huge))
+        assert report.cutoffs == [5, 40, 41, huge]
+        assert report.map_at_k[1:] == [report.map_at_k[1]] * 3
+        assert report.recall_at_k[1:] == [report.recall_at_k[1]] * 3
+
+    def test_cutoff_past_an_empty_corpus_reads_as_one(self):
+        index = build_index(np.zeros((0, 8)), [], np.zeros((0, 3)))
+        report = evaluate(np.ones((2, 8)), ["q0", "q1"], np.eye(3)[:2], index,
+                          cutoffs=(1, 2**63))
+        assert report.cutoffs == [1, 2**63]
+        assert report.map_at_k == report.recall_at_k == [0.0, 0.0]
+
     def test_query_excluded_from_own_ranking(self):
         codes = np.array([[1, 1, 1, 1], [-1, -1, -1, -1]], dtype=np.int8)
         labels = np.array([[1, 0], [0, 1]], dtype=np.int8)
@@ -298,8 +324,8 @@ class TestEvaluate:
         monkeypatch.setattr(retrieval, "average_precision", spy)
         evaluate(queries[rows], q_ids, q_labels[rows], index, cutoffs=cutoffs)
         assert len(calls) == 4  # one per distinct (code, labels, own row)
-        for ranks, cut in calls:
-            assert cut == list(cutoffs) and np.all(np.diff(ranks) > 0)
+        for ranks, cut in calls:  # a cutoff past the 40 corpus items reads as 40
+            assert cut == [min(c, 40) for c in cutoffs] and np.all(np.diff(ranks) > 0)
 
     def test_no_categories_nothing_relevant(self):
         codes = random_codes(np.random.default_rng(10), 5, 8)
